@@ -39,7 +39,6 @@
 #include "common/error.hpp"
 #include "common/stopwatch.hpp"
 #include "obs/analysis.hpp"
-#include "obs/metrics.hpp"
 #include "obs/session.hpp"
 #include "serve/server.hpp"
 
@@ -66,15 +65,6 @@ std::vector<Metric>& metrics() {
 void put(const std::string& name, double value, const char* dir = "lower",
          double tol = -1) {
   metrics().push_back({name, value, dir, tol});
-}
-
-/// Quantile of `samples` through the fixed-bucket obs::Histogram
-/// estimator (the same interpolating quantile the per-tenant report
-/// sections use) -- no ad-hoc percentile code in the bench.
-double hist_quantile(const std::vector<double>& samples, double q) {
-  obs::Histogram h(obs::geometric_edges(1e-4, 64.0, 1.2));
-  for (double v : samples) h.observe(v);
-  return h.quantile(q);
 }
 
 std::string fmt(double v) {
@@ -210,8 +200,8 @@ serve::ServeReport suite_serve(const std::string& snapshot_path) {
   const serve::ServeReport rep = server.run(load);
   put("serve.throughput", rep.throughput, "higher");
   put("serve.completed", static_cast<double>(rep.completed), "higher");
-  put("serve.p50", hist_quantile(rep.latencies, 0.50));
-  put("serve.p99", hist_quantile(rep.latencies, 0.99));
+  put("serve.p50", rep.latency.p50);
+  put("serve.p99", rep.latency.p99);
   put("serve.utilization", rep.utilization, "higher");
   put("serve.mean_batch", rep.mean_batch, "higher");
   const double lookups =
@@ -356,7 +346,7 @@ serve::ServeReport suite_fault() {
   serve::OpenLoopWorkload load(mix, rate, requests, /*tenants=*/4, kSeed);
   const serve::ServeReport rep = server.run(load);
   put("fault.goodput", rep.goodput, "higher");
-  put("fault.p99", hist_quantile(rep.latencies, 0.99));
+  put("fault.p99", rep.latency.p99);
   put("fault.failed", static_cast<double>(rep.failed));
   put("fault.retry_amplification", rep.retry_amplification);
   put("fault.alerts", static_cast<double>(rep.alert_log.size()));
@@ -391,7 +381,7 @@ void suite_cluster() {
   rep.verify();
   put("cluster.goodput", rep.goodput, "higher");
   put("cluster.affinity_hit_rate", rep.affinity_hit_rate, "higher");
-  put("cluster.failover_p99", hist_quantile(rep.latencies, 0.99));
+  put("cluster.failover_p99", rep.latency.p99);
   put("cluster.completed", static_cast<double>(rep.completed), "higher");
   put("cluster.failovers", static_cast<double>(rep.failovers));
 }
@@ -426,7 +416,7 @@ void suite_cluster_survival() {
     rep.verify();
     PARFFT_CHECK(rep.drains == 3, "rolling restart skipped a machine");
     PARFFT_CHECK(rep.failed == 0, "rolling restart lost requests");
-    put("cluster.drain_p99", hist_quantile(rep.latencies, 0.99));
+    put("cluster.drain_p99", rep.latency.p99);
     put("cluster.drain_handovers", static_cast<double>(rep.drain_handovers),
         "higher");
   }
@@ -450,7 +440,7 @@ void suite_cluster_survival() {
         static_cast<double>(rep.hedge_wins) /
             static_cast<double>(rep.hedges_placed),
         "higher");
-    put("cluster.hedge_p99", hist_quantile(rep.latencies, 0.99));
+    put("cluster.hedge_p99", rep.latency.p99);
   }
 
   {

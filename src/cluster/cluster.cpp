@@ -793,7 +793,9 @@ ClusterReport Cluster::run(serve::Workload& workload) {
       placements > 0
           ? static_cast<double>(warm) / static_cast<double>(placements)
           : 0.0;
-  rep.latency = serve::summarize_latencies(rep.latencies);
+  obs::LogLinearHistogram lat;
+  for (double v : rep.latencies) lat.observe(v);
+  rep.latency = serve::summarize(lat);
 
   PARFFT_IF_PARANOID(rep.verify());
 

@@ -183,7 +183,8 @@ struct ClusterReport {
   /// == offered globally with every hedged duplicate's second outcome
   /// suppressed exactly once (hedges_placed == hedge_wasted +
   /// hedge_cancelled + hedge_dup_failed), every shard report passes its
-  /// own verify(), and the derived figures are consistent. With the
+  /// own verify(), the derived figures are consistent and the latency
+  /// summary is ordered (LatencySummary::verify). With the
   /// survival layer off every hedge/breaker/drain counter is zero and
   /// the identities reduce to the pre-survival ones. Cluster::run()
   /// calls this before returning under PARFFT_PARANOID; callable from

@@ -82,6 +82,7 @@ void ClusterReport::verify() const {
                "cluster report: crashes != sum over shards");
   PARFFT_CHECK(latencies.size() == completed,
                "cluster report: latency samples != completions");
+  latency.verify("cluster report latency");
 
   PARFFT_CHECK(makespan >= 0, "cluster report: negative makespan");
   PARFFT_CHECK(affinity_hit_rate >= 0.0 && affinity_hit_rate <= 1.0,
@@ -101,17 +102,6 @@ void ClusterReport::verify() const {
                  "cluster report: goodput inconsistent with deadline_met");
   }
 }
-
-namespace {
-
-void write_latency(std::ostream& os, const char* key,
-                   const serve::LatencySummary& l) {
-  os << '"' << key << "\":{\"p50\":" << l.p50 << ",\"p95\":" << l.p95
-     << ",\"p99\":" << l.p99 << ",\"p999\":" << l.p999
-     << ",\"mean\":" << l.mean << ",\"max\":" << l.max << '}';
-}
-
-}  // namespace
 
 void ClusterReport::write_json(std::ostream& os) const {
   os << '{';
@@ -139,7 +129,7 @@ void ClusterReport::write_json(std::ostream& os) const {
      << ",\"cache_preloads\":" << cache_preloads
      << ",\"affinity_repins\":" << affinity_repins;
   os << ',';
-  write_latency(os, "latency", latency);
+  serve::write_latency_json(os, "latency", latency);
   os << ",\"per_machine\":[";
   for (std::size_t i = 0; i < per_machine.size(); ++i) {
     const MachineSlice& s = per_machine[i];

@@ -216,9 +216,8 @@ void Plan3D::run_reshape_collective(const Stage& stage) {
     if (pack_t > 0)
       run->tracer.complete(comm_.world_rank(), obs::Category::Pack, "pack",
                            comm_.vtime() - pack_t, pack_t);
-    run->metrics
-        .histogram("reshape/fanout", obs::geometric_edges(1.0, 1024.0, 2.0))
-        .observe(static_cast<double>(rp.sends(me).size()));
+    run->metrics.observe("reshape/fanout",
+                         static_cast<double>(rp.sends(me).size()));
   }
 
   // Receive displacements (ascending peer).
@@ -330,9 +329,8 @@ void Plan3D::run_reshape_p2p(const Stage& stage, int tag_base) {
     if (pack_t > 0)
       run->tracer.complete(comm_.world_rank(), obs::Category::Pack, "pack",
                            comm_.vtime() - pack_t, pack_t);
-    run->metrics
-        .histogram("reshape/fanout", obs::geometric_edges(1.0, 1024.0, 2.0))
-        .observe(static_cast<double>(rp.sends(me).size()));
+    run->metrics.observe("reshape/fanout",
+                         static_cast<double>(rp.sends(me).size()));
   }
 
   // Post receives (MPI_Irecv), then sends; data transport is untimed here

@@ -216,16 +216,12 @@ class StageRunner {
         const double b =
             static_cast<double>(tr.region.count() * batch) * sizeof(cplx);
         sent += b;
-        run_->metrics
-            .histogram("reshape/message_bytes",
-                       obs::geometric_edges(1024.0, 1e9, 4.0))
-            .observe(b);
+        run_->metrics.observe("reshape/message_bytes", b);
       }
       run_->metrics.counter("rank/" + std::to_string(r) + "/bytes_sent")
           .add(sent);
-      run_->metrics
-          .histogram("reshape/fanout", obs::geometric_edges(1.0, 1024.0, 2.0))
-          .observe(static_cast<double>(rp.sends(r).size()));
+      run_->metrics.observe("reshape/fanout",
+                            static_cast<double>(rp.sends(r).size()));
     }
     for (const net::LinkStats::Link& l : rc.stats.links) {
       if (l.capacity <= 0) continue;

@@ -64,21 +64,18 @@ void write_run_summary(std::ostream& os, const RunTrace& run) {
     os << "\n";
   }
 
-  for (const auto& [name, h] : run.metrics.histograms()) {
-    Table t({name, "count"});
-    const auto counts = h->counts();
-    const auto& edges = h->edges();
-    const bool as_bytes = name.find("bytes") != std::string::npos;
-    auto fmt = [as_bytes](double e) {
-      return as_bytes ? format_bytes(e) : format_fixed(e, 0);
-    };
-    for (std::size_t i = 0; i < counts.size(); ++i) {
-      const std::string label = i < edges.size()
-                                    ? "<= " + fmt(edges[i])
-                                    : "> " + fmt(edges.back());
-      t.add_row({label, std::to_string(counts[i])});
+  const auto hists = run.metrics.histograms();
+  if (!hists.empty()) {
+    Table t({"histogram", "count", "min", "p50", "p99", "max"});
+    for (const auto& [name, h] : hists) {
+      const auto fmt = [&](double v) {
+        if (name.find("bytes") != std::string::npos) return format_bytes(v);
+        if (name.find("seconds") != std::string::npos) return format_time(v);
+        return format_fixed(v, 2);
+      };
+      t.add_row({name, std::to_string(h.count()), fmt(h.min()),
+                 fmt(h.quantile(0.50)), fmt(h.quantile(0.99)), fmt(h.max())});
     }
-    t.add_row({"TOTAL", std::to_string(h->count())});
     t.print(os);
     os << "\n";
   }

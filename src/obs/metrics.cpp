@@ -1,69 +1,6 @@
 #include "obs/metrics.hpp"
 
-#include <algorithm>
-
-#include "common/error.hpp"
-
 namespace parfft::obs {
-
-Histogram::Histogram(std::vector<double> upper_edges)
-    : edges_(std::move(upper_edges)), buckets_(edges_.size() + 1) {
-  PARFFT_CHECK(!edges_.empty(), "histogram needs at least one bucket edge");
-  for (std::size_t i = 1; i < edges_.size(); ++i)
-    PARFFT_CHECK(edges_[i - 1] < edges_[i],
-                 "histogram edges must be strictly ascending");
-}
-
-void Histogram::observe(double x) {
-  const auto it = std::lower_bound(edges_.begin(), edges_.end(), x);
-  const auto idx = static_cast<std::size_t>(it - edges_.begin());
-  buckets_[idx].fetch_add(1, std::memory_order_relaxed);
-  n_.fetch_add(1, std::memory_order_relaxed);
-  detail::atomic_add(sum_, x);
-}
-
-std::vector<std::uint64_t> Histogram::counts() const {
-  std::vector<std::uint64_t> out(buckets_.size());
-  for (std::size_t i = 0; i < buckets_.size(); ++i)
-    out[i] = buckets_[i].load(std::memory_order_relaxed);
-  return out;
-}
-
-double Histogram::quantile(double q) const {
-  const std::vector<std::uint64_t> c = counts();
-  std::uint64_t n = 0;
-  for (std::uint64_t v : c) n += v;
-  if (n == 0) return 0.0;
-  q = std::min(std::max(q, 0.0), 1.0);
-  const double target = q * static_cast<double>(n);
-  std::uint64_t cum = 0;
-  for (std::size_t i = 0; i < c.size(); ++i) {
-    if (static_cast<double>(cum + c[i]) >= target) {
-      // Overflow bucket (i == edges_.size()) has no upper bound: clamp
-      // to the last edge (documented under-estimate).
-      if (i >= edges_.size()) return edges_.back();
-      const double lower = i == 0 ? 0.0 : edges_[i - 1];
-      const double upper = edges_[i];
-      const double within =
-          c[i] > 0
-              ? (target - static_cast<double>(cum)) / static_cast<double>(c[i])
-              : 0.0;
-      return lower + within * (upper - lower);
-    }
-    cum += c[i];
-  }
-  return edges_.back();
-}
-
-std::vector<double> geometric_edges(double lo, double hi, double factor) {
-  PARFFT_CHECK(lo > 0 && factor > 1, "geometric edges need lo > 0, factor > 1");
-  std::vector<double> edges;
-  for (double e = lo; ; e *= factor) {
-    edges.push_back(e);
-    if (e >= hi) break;
-  }
-  return edges;
-}
 
 Counter& MetricsRegistry::counter(const std::string& name) {
   std::lock_guard lk(mu_);
@@ -79,12 +16,9 @@ Gauge& MetricsRegistry::gauge(const std::string& name) {
   return *slot;
 }
 
-Histogram& MetricsRegistry::histogram(const std::string& name,
-                                      const std::vector<double>& edges) {
+void MetricsRegistry::observe(const std::string& name, double x) {
   std::lock_guard lk(mu_);
-  auto& slot = histograms_[name];
-  if (!slot) slot = std::make_unique<Histogram>(edges);
-  return *slot;
+  histograms_[name].observe(x);
 }
 
 std::vector<std::pair<std::string, double>> MetricsRegistry::counters() const {
@@ -103,13 +37,10 @@ std::vector<std::pair<std::string, double>> MetricsRegistry::gauges() const {
   return out;
 }
 
-std::vector<std::pair<std::string, const Histogram*>>
+std::vector<std::pair<std::string, LogLinearHistogram>>
 MetricsRegistry::histograms() const {
   std::lock_guard lk(mu_);
-  std::vector<std::pair<std::string, const Histogram*>> out;
-  out.reserve(histograms_.size());
-  for (const auto& [name, h] : histograms_) out.emplace_back(name, h.get());
-  return out;
+  return {histograms_.begin(), histograms_.end()};
 }
 
 }  // namespace parfft::obs

@@ -1,23 +1,25 @@
 #pragma once
 /// \file metrics.hpp
 /// Minimal metrics registry: monotonically growing counters, last/peak
-/// gauges and fixed-bucket histograms, keyed by name. The FFT layers feed
-/// it with bytes sent per rank, message-size distributions, reshape
-/// fan-out degrees and FlowSim link-utilization figures; exporters render
-/// it as counter tracks (Chrome JSON) or summary tables.
+/// gauges and LogLinearHistogram distributions, keyed by name. The FFT
+/// layers feed it with bytes sent per rank, message-size distributions,
+/// reshape fan-out degrees and FlowSim link-utilization figures;
+/// exporters render it as counter tracks (Chrome JSON) or summary tables.
 ///
-/// All mutators are thread-safe: the registry serializes name lookup, and
-/// the metric objects themselves use atomics so concurrent rank threads
-/// can update them without a lock.
+/// All mutators are thread-safe: the registry serializes name lookup.
+/// Counters and gauges use atomics, so a caller holding a reference
+/// updates them without a lock; histograms are fed inside observe(),
+/// under the registry mutex.
 
 #include <atomic>
-#include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "obs/histogram.hpp"
 
 namespace parfft::obs {
 
@@ -58,63 +60,25 @@ class Gauge {
   std::atomic<double> v_{0};
 };
 
-/// Fixed-bucket histogram. Bucket i counts observations with
-/// x <= edges[i] (and x > edges[i-1]); one implicit overflow bucket
-/// catches everything above the last edge, so counts() has
-/// edges().size() + 1 entries.
-class Histogram {
- public:
-  /// `upper_edges` must be non-empty and strictly ascending.
-  explicit Histogram(std::vector<double> upper_edges);
-
-  void observe(double x);
-
-  const std::vector<double>& edges() const { return edges_; }
-  std::vector<std::uint64_t> counts() const;
-  std::uint64_t count() const { return n_.load(std::memory_order_relaxed); }
-  double sum() const { return sum_.load(std::memory_order_relaxed); }
-
-  /// Value below which a fraction `q` (in [0, 1]) of observations fall,
-  /// by linear interpolation within the winning bucket. Bias: the
-  /// estimate is exact only when observations are uniform within their
-  /// bucket; the error is bounded by one bucket width. Bucket 0's lower
-  /// bound is taken as 0 (edges are upper bounds), and observations in
-  /// the overflow bucket clamp to the last edge -- overflow-heavy
-  /// populations under-report their tail, so size the edges to cover
-  /// the expected range. Returns 0 when empty.
-  double quantile(double q) const;
-
- private:
-  std::vector<double> edges_;
-  std::vector<std::atomic<std::uint64_t>> buckets_;
-  std::atomic<std::uint64_t> n_{0};
-  std::atomic<double> sum_{0};
-};
-
-/// Geometric bucket edges lo, lo*factor, ... up to and including the
-/// first edge >= hi. Convenient for message-size histograms.
-std::vector<double> geometric_edges(double lo, double hi, double factor);
-
 /// Name -> metric map. Lookup creates on first use; returned references
 /// stay valid for the registry's lifetime.
 class MetricsRegistry {
  public:
   Counter& counter(const std::string& name);
   Gauge& gauge(const std::string& name);
-  /// `edges` is consulted only when `name` is first created.
-  Histogram& histogram(const std::string& name,
-                       const std::vector<double>& edges);
+  /// Feeds `x` into the named histogram, created on first use.
+  void observe(const std::string& name, double x);
 
   /// Sorted (name, value) snapshots for exporters.
   std::vector<std::pair<std::string, double>> counters() const;
   std::vector<std::pair<std::string, double>> gauges() const;
-  std::vector<std::pair<std::string, const Histogram*>> histograms() const;
+  std::vector<std::pair<std::string, LogLinearHistogram>> histograms() const;
 
  private:
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
-  std::map<std::string, std::unique_ptr<Histogram>> histograms_;
+  std::map<std::string, LogLinearHistogram> histograms_;
 };
 
 }  // namespace parfft::obs

@@ -10,9 +10,9 @@
 ///
 ///  - WindowedSeries: a metric stream cut into fixed-width virtual-time
 ///    windows. Each window keeps count/sum/min/max plus a log-linear
-///    streaming histogram (LogLinearHistogram) so per-window quantiles
-///    (p50/p99 of the last 500 ms, say) are queryable live, unlike the
-///    run-total obs::Histogram.
+///    streaming histogram (LogLinearHistogram, obs/histogram.hpp) so
+///    per-window quantiles (p50/p99 of the last 500 ms, say) are
+///    queryable live, not only over the whole run.
 ///
 ///  - SloMonitor: one per tenant. The tenant declares a latency target
 ///    and an objective (e.g. 99% of requests under 250 ms); the monitor
@@ -36,7 +36,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <deque>
 #include <iosfwd>
 #include <map>
@@ -44,113 +43,11 @@
 #include <utility>
 #include <vector>
 
+#include "obs/histogram.hpp"
 #include "obs/session.hpp"
 #include "obs/tracer.hpp"
 
 namespace parfft::obs {
-
-/// Streaming histogram with log-linear buckets: each power-of-two octave
-/// of the value axis is split into `sub` equal linear sub-buckets, so the
-/// relative quantile error is bounded by 1/(2*sub) per bucket regardless
-/// of the value range, and the bucket index is pure integer/frexp math --
-/// deterministic across platforms. Buckets are kept sparse in an ordered
-/// map; values at or below `lo` collapse into the `lo` bucket (latencies
-/// below a microsecond are noise for this repo's scales).
-///
-/// quantile() linearly interpolates inside the winning bucket and clamps
-/// to the exact observed [min, max], so extreme quantiles never
-/// extrapolate past real data. Bias: at most one sub-bucket's relative
-/// width, i.e. ~1.5% at the default sub = 32.
-///
-/// Buckets live in a flat vector sorted by index (a window touches a few
-/// dozen buckets at most), so observe() is a binary search over
-/// contiguous ints -- nanoseconds, no tree nodes, no per-observation
-/// allocation once a bucket exists.
-class LogLinearHistogram {
- public:
-  explicit LogLinearHistogram(double lo = 1e-6, int sub = 32);
-
-  /// Inline and allocation-free once a bucket exists: the serve event
-  /// loop calls this several times per request, so it must cost
-  /// nanoseconds, not a libm call plus a tree walk.
-  void observe(double x) {
-    const int idx = bucket_index(x);
-    // Sorted flat vector: binary search over contiguous ints.
-    auto it = buckets_.begin();
-    auto n = buckets_.size();
-    while (n > 0) {
-      const auto half = n / 2;
-      if (it[static_cast<std::ptrdiff_t>(half)].first < idx) {
-        it += static_cast<std::ptrdiff_t>(half + 1);
-        n -= half + 1;
-      } else {
-        n = half;
-      }
-    }
-    if (it != buckets_.end() && it->first == idx) {
-      it->second += 1;
-    } else {
-      buckets_.insert(it, {idx, 1});
-    }
-    if (n_ == 0) {
-      min_ = x;
-      max_ = x;
-    } else {
-      if (x < min_) min_ = x;
-      if (x > max_) max_ = x;
-    }
-    ++n_;
-    sum_ += x;
-  }
-
-  /// Fold another histogram with identical (lo, sub) geometry into this.
-  void merge(const LogLinearHistogram& other);
-  void clear();
-
-  std::uint64_t count() const { return n_; }
-  double sum() const { return sum_; }
-  double mean() const { return n_ ? sum_ / static_cast<double>(n_) : 0.0; }
-  double min() const { return n_ ? min_ : 0.0; }
-  double max() const { return n_ ? max_ : 0.0; }
-
-  /// Value below which a fraction `q` (in [0, 1]) of observations fall.
-  /// Linear interpolation within the winning bucket; 0 when empty.
-  double quantile(double q) const;
-
-  /// Sorted (bucket lower bound, count) pairs, for exporters.
-  std::vector<std::pair<double, std::uint64_t>> buckets() const;
-
-  double lo() const { return lo_; }
-  int sub() const { return sub_; }
-
- private:
-  /// The log-linear bucket of `x`: octave (IEEE-754 exponent, as frexp
-  /// would report it) times sub_, plus the linear sub-bucket from the
-  /// top mantissa bits. Pure integer math on the double's bit pattern --
-  /// deterministic across platforms and far cheaper than frexp. Requires
-  /// lo_ normal (enforced in the constructor) so the clamp can never
-  /// leave a subnormal behind.
-  int bucket_index(double x) const {
-    if (!(x > lo_)) x = lo_;  // also catches NaN
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &x, sizeof bits);
-    const int e = static_cast<int>((bits >> 52) & 0x7ffu) - 1022;
-    const std::uint64_t frac = bits & 0xfffffffffffffULL;
-    const int s =
-        static_cast<int>((frac * static_cast<std::uint64_t>(sub_)) >> 52);
-    return e * sub_ + s;
-  }
-  double bucket_lower(int idx) const;
-  double bucket_upper(int idx) const;
-
-  double lo_;
-  int sub_;
-  std::vector<std::pair<int, std::uint64_t>> buckets_;  ///< sorted by index
-  std::uint64_t n_ = 0;
-  double sum_ = 0;
-  double min_ = 0;
-  double max_ = 0;
-};
 
 /// One sealed (or live) telemetry window of a series.
 struct WindowStats {

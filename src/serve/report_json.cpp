@@ -9,16 +9,13 @@
 
 namespace parfft::serve {
 
-namespace {
-
-void write_latency(std::ostream& os, const char* key,
-                   const LatencySummary& l) {
-  os << '"' << key << "\":{\"p50\":" << l.p50 << ",\"p95\":" << l.p95
-     << ",\"p99\":" << l.p99 << ",\"p999\":" << l.p999
-     << ",\"mean\":" << l.mean << ",\"max\":" << l.max << '}';
+void write_latency_json(std::ostream& os, const char* key,
+                        const LatencySummary& l) {
+  os << '"' << key << "\":{\"min\":" << l.min << ",\"p50\":" << l.p50
+     << ",\"p95\":" << l.p95 << ",\"p99\":" << l.p99
+     << ",\"p999\":" << l.p999 << ",\"mean\":" << l.mean
+     << ",\"max\":" << l.max << '}';
 }
-
-}  // namespace
 
 void ServeReport::write_json(std::ostream& os) const {
   os << '{';
@@ -35,9 +32,9 @@ void ServeReport::write_json(std::ostream& os) const {
      << ",\"utilization\":" << utilization << ",\"mean_batch\":" << mean_batch
      << ",\"retry_amplification\":" << retry_amplification;
   os << ',';
-  write_latency(os, "latency", latency);
+  write_latency_json(os, "latency", latency);
   os << ',';
-  write_latency(os, "queue_wait", queue_wait);
+  write_latency_json(os, "queue_wait", queue_wait);
   os << ",\"mean_recovery\":" << mean_recovery
      << ",\"recoveries\":" << recovery_times.size();
   os << ",\"cache_hits\":" << cache_hits
@@ -52,10 +49,9 @@ void ServeReport::write_json(std::ostream& os) const {
     os << "{\"tenant\":" << t.tenant << ",\"offered\":" << t.offered
        << ",\"completed\":" << t.completed << ",\"failed\":" << t.failed
        << ",\"cancelled\":" << t.cancelled << ",\"shed\":" << t.shed
-       << ",\"p50\":" << t.p50
-       << ",\"p95\":" << t.p95 << ",\"p99\":" << t.p99
-       << ",\"mean\":" << t.mean << ",\"max\":" << t.max
-       << ",\"slo_latency\":" << t.slo_latency
+       << ',';
+    write_latency_json(os, "latency", t.latency);
+    os << ",\"slo_latency\":" << t.slo_latency
        << ",\"slo_objective\":" << t.slo_objective
        << ",\"attainment\":" << t.attainment
        << ",\"burn_short\":" << t.burn_short

@@ -1,7 +1,6 @@
 #include "serve/server.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <map>
 #include <set>
@@ -16,29 +15,25 @@ namespace parfft::serve {
 
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-double nearest_rank(const std::vector<double>& sorted, double q) {
-  if (sorted.empty()) return 0;
-  const auto n = static_cast<double>(sorted.size());
-  auto idx = static_cast<std::size_t>(std::ceil(q * n));
-  if (idx > 0) --idx;
-  return sorted[std::min(idx, sorted.size() - 1)];
-}
 }  // namespace
 
-LatencySummary summarize_latencies(std::vector<double> samples) {
+LatencySummary summarize(const obs::LogLinearHistogram& h) {
   LatencySummary s;
-  if (samples.empty()) return s;
-  std::sort(samples.begin(), samples.end());
-  s.p50 = nearest_rank(samples, 0.50);
-  s.p95 = nearest_rank(samples, 0.95);
-  s.p99 = nearest_rank(samples, 0.99);
-  s.p999 = nearest_rank(samples, 0.999);
-  s.max = samples.back();
-  double sum = 0;
-  for (double v : samples) sum += v;
-  s.mean = sum / static_cast<double>(samples.size());
+  s.min = h.min();
+  s.p50 = h.quantile(0.50);
+  s.p95 = h.quantile(0.95);
+  s.p99 = h.quantile(0.99);
+  s.p999 = h.quantile(0.999);
+  s.mean = h.mean();
+  s.max = h.max();
   return s;
+}
+
+void LatencySummary::verify(const std::string& what) const {
+  PARFFT_CHECK(min <= p50 && p50 <= p95 && p95 <= p99 && p99 <= p999 &&
+                   p999 <= max,
+               what + ": quantiles not ordered min <= p50 <= p95 <= p99 <= "
+                      "p999 <= max");
 }
 
 void ServeReport::verify() const {
@@ -64,6 +59,8 @@ void ServeReport::verify() const {
   // rounding slack from the fluid repricing arithmetic.
   PARFFT_CHECK(busy_time <= makespan * (1.0 + 1e-9) + 1e-9,
                "serve report: busy_time exceeds makespan");
+  latency.verify("serve report latency");
+  queue_wait.verify("serve report queue_wait");
   // Per-tenant sections (absent on hand-built reports) obey the same
   // conservation identity tenant by tenant and sum to the run totals.
   if (!tenants.empty()) {
@@ -74,6 +71,9 @@ void ServeReport::verify() const {
                    "offered");
       PARFFT_CHECK(t.shed <= t.failed,
                    "serve report: tenant shed requests not all failed");
+      t.latency.verify("serve report tenant latency");
+      PARFFT_CHECK(t.latency.max <= latency.max,
+                   "serve report: tenant latency max exceeds the run's");
       t_off += t.offered;
       t_comp += t.completed;
       t_fail += t.failed;
@@ -123,14 +123,14 @@ struct Server::Engine {
     std::uint64_t offered = 0, completed = 0, failed = 0, cancelled = 0,
                   shed = 0;
     std::uint64_t in_slo = 0;  ///< completed within the tenant's target
-    std::unique_ptr<obs::Histogram> lat;
-    double lat_max = 0;
+    obs::LogLinearHistogram lat;
   };
   std::map<int, TenantAgg> tenant_agg;
 
   double last_blackout_dump = -1;  // one flight dump per blackout window
 
-  std::vector<double> waits;
+  obs::LogLinearHistogram lat_hist;   ///< run latency, completed requests
+  obs::LogLinearHistogram wait_hist;  ///< run queue wait, completed requests
   InFlight flight;
   bool busy = false;
   bool up = true;           // executor alive
@@ -288,16 +288,13 @@ struct Server::Engine {
     live.erase(r.id);
     cancel_retry(r.id);  // a hedged duplicate may outrun its primary's retry
     rep.latencies.push_back(r.latency());
-    waits.push_back(r.queue_wait());
+    lat_hist.observe(r.latency());
+    wait_hist.observe(r.queue_wait());
     ++rep.completed;
     if (r.met_deadline()) ++rep.deadline_met;
     TenantAgg& ta = tenant_agg[r.tenant];
     ++ta.completed;
-    if (!ta.lat)
-      ta.lat = std::make_unique<obs::Histogram>(
-          obs::geometric_edges(1e-6, 64.0, 2.0));
-    ta.lat->observe(r.latency());
-    ta.lat_max = std::max(ta.lat_max, r.latency());
+    ta.lat.observe(r.latency());
     const obs::SloTarget target = tenant_target(r.tenant);
     if (target.latency > 0 && r.latency() <= target.latency) ++ta.in_slo;
     tel.on_request(t, r.tenant, r.latency(), /*completed=*/true);
@@ -311,9 +308,7 @@ struct Server::Engine {
           0, obs::Category::Request, "req", r.arrival, r.latency(),
           {{"tenant", static_cast<double>(r.tenant)},
            {"shape", static_cast<double>(r.shape_id)}});
-      run->metrics.histogram("serve/latency_seconds",
-                             obs::geometric_edges(1e-6, 64.0, 2.0))
-          .observe(r.latency());
+      run->metrics.observe("serve/latency_seconds", r.latency());
     }
     workload.on_complete(r, t);
   }
@@ -324,18 +319,15 @@ struct Server::Engine {
     now = std::max(now, flight.done);
     for (Request& r : flight.batch.requests) complete(r, flight.done);
     if (run)
-      run->metrics
-          .histogram("serve/batch_size", obs::geometric_edges(1, 64, 2))
-          .observe(flight.batch.size());
+      run->metrics.observe("serve/batch_size",
+                           static_cast<double>(flight.batch.size()));
     rep.busy_time += flight.done - flight.start;
     if (awaiting_recovery) {
       const double rec = flight.done - last_crash;
       rep.recovery_times.push_back(rec);
       awaiting_recovery = false;
       if (run)
-        run->metrics.histogram("serve/recovery_seconds",
-                               obs::geometric_edges(1e-3, 4096.0, 2.0))
-            .observe(rec);
+        run->metrics.observe("serve/recovery_seconds", rec);
     }
     busy = false;
   }
@@ -688,8 +680,8 @@ struct Server::Engine {
             ? static_cast<double>(rep.offered + rep.retries + rep.hedges) /
                   static_cast<double>(rep.offered)
             : 0.0;
-    rep.latency = summarize_latencies(rep.latencies);
-    rep.queue_wait = summarize_latencies(std::move(waits));
+    rep.latency = summarize(lat_hist);
+    rep.queue_wait = summarize(wait_hist);
     if (!rep.recovery_times.empty()) {
       double sum = 0;
       for (double v : rep.recovery_times) sum += v;
@@ -716,15 +708,7 @@ struct Server::Engine {
       tr.failed = ta.failed;
       tr.cancelled = ta.cancelled;
       tr.shed = ta.shed;
-      if (ta.lat) {
-        tr.p50 = ta.lat->quantile(0.50);
-        tr.p95 = ta.lat->quantile(0.95);
-        tr.p99 = ta.lat->quantile(0.99);
-        tr.mean = ta.lat->count() > 0
-                      ? ta.lat->sum() / static_cast<double>(ta.lat->count())
-                      : 0.0;
-        tr.max = ta.lat_max;
-      }
+      tr.latency = summarize(ta.lat);
       const obs::SloTarget target = tenant_target(tenant);
       if (target.latency > 0) {
         tr.slo_latency = target.latency;

@@ -80,23 +80,35 @@ struct ServerConfig {
   std::string label = "serve";
 };
 
-/// Order statistics of one latency population (virtual seconds).
+/// Summary of one latency population (virtual seconds). min, mean and
+/// max are exact; the quantiles carry obs::LogLinearHistogram's error
+/// and are clamped to [min, max].
 struct LatencySummary {
-  double p50 = 0, p95 = 0, p99 = 0, p999 = 0;
+  double min = 0, p50 = 0, p95 = 0, p99 = 0, p999 = 0;
   double mean = 0, max = 0;
+
+  /// Throws parfft::Error unless min <= p50 <= p95 <= p99 <= p999 <= max.
+  /// `what` names the population in the message.
+  void verify(const std::string& what) const;
 };
 
-/// Nearest-rank percentiles over `samples` (need not be sorted).
-LatencySummary summarize_latencies(std::vector<double> samples);
+/// The summary of everything `h` observed (all zero when empty). The one
+/// way every serve and cluster report derives its latency figures.
+LatencySummary summarize(const obs::LogLinearHistogram& h);
+
+/// Writes `"key":{"min":...,"max":...}`: the JSON shape of a
+/// LatencySummary in every report.
+void write_latency_json(std::ostream& os, const char* key,
+                        const LatencySummary& l);
 
 /// One tenant's section of a ServeReport. Counters obey the same
 /// conservation identity as the run totals (completed + failed ==
-/// offered, per tenant); latency quantiles are derived from a
-/// fixed-bucket obs::Histogram via its interpolating quantile()
-/// estimator, not from the raw sample vector. SLO fields are filled
-/// when the tenant has a target configured (ServerConfig::telemetry):
-/// attainment always (from the report's own counters), burn rates and
-/// the final alert state only when the telemetry monitors actually ran.
+/// offered, per tenant); `latency` summarizes the tenant's completed
+/// requests exactly as ServeReport::latency does the run's. SLO fields
+/// are filled when the tenant has a target configured
+/// (ServerConfig::telemetry): attainment always (from the report's own
+/// counters), burn rates and the final alert state only when the
+/// telemetry monitors actually ran.
 struct TenantReport {
   int tenant = 0;
   std::uint64_t offered = 0;
@@ -106,8 +118,7 @@ struct TenantReport {
   /// neither a success nor a failure, and never charged to the SLO.
   std::uint64_t cancelled = 0;
   std::uint64_t shed = 0;
-  double p50 = 0, p95 = 0, p99 = 0;  ///< histogram-derived, completed only
-  double mean = 0, max = 0;
+  LatencySummary latency;    ///< completed requests only
   double slo_latency = 0;    ///< configured target (0 = unmonitored)
   double slo_objective = 0;
   /// In-SLO terminal outcomes / all terminal outcomes (1.0 before any
@@ -185,10 +196,11 @@ struct ServeReport {
   /// Throws parfft::Error if the report's conservation identities are
   /// broken: completed + failed + cancelled == offered (every request
   /// terminal exactly once), attempt traffic >= terminals, deadline_met
-  /// <= completed, latency samples match completions, and the time
-  /// aggregates are sane (0 <= busy_time <= makespan). Server::run()
-  /// calls this before returning under PARFFT_PARANOID; callable
-  /// directly from tests in any build.
+  /// <= completed, latency samples match completions, the time
+  /// aggregates are sane (0 <= busy_time <= makespan), and every latency
+  /// summary is ordered (LatencySummary::verify) with no tenant's max
+  /// above the run's. Server::run() calls this before returning under
+  /// PARFFT_PARANOID; callable directly from tests in any build.
   void verify() const;
 
   /// Machine-readable JSON object of the report (one flat object; the

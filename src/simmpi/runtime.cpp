@@ -559,10 +559,8 @@ void Comm::alltoallv(const void* sbuf, const std::vector<std::size_t>& scounts,
       if (scounts[j] == 0) continue;
       sent += static_cast<double>(scounts[j]);
       if (static_cast<int>(j) != grank_) ++peers;
-      run->metrics
-          .histogram("exchange/message_bytes",
-                     obs::geometric_edges(1024.0, 1e9, 4.0))
-          .observe(static_cast<double>(scounts[j]));
+      run->metrics.observe("exchange/message_bytes",
+                           static_cast<double>(scounts[j]));
     }
     std::vector<obs::SpanArg> args;
     if (run->with_args())
@@ -658,10 +656,7 @@ void Comm::alltoallw(const void* sbuf, const std::vector<Subarray>& stypes,
       if (stypes[j].empty()) continue;
       sent += stypes[j].bytes();
       if (static_cast<int>(j) != grank_) ++peers;
-      run->metrics
-          .histogram("exchange/message_bytes",
-                     obs::geometric_edges(1024.0, 1e9, 4.0))
-          .observe(stypes[j].bytes());
+      run->metrics.observe("exchange/message_bytes", stypes[j].bytes());
     }
     std::vector<obs::SpanArg> args;
     if (run->with_args())

@@ -149,6 +149,24 @@ TEST(ServeReportVerify, RejectsImpossibleAggregates) {
   EXPECT_THROW(rep3.verify(), Error);
 }
 
+TEST(ServeReportVerify, RejectsQuantilesAboveTheMax) {
+  // A tenant p99 above that tenant's own max.
+  ServeReport rep = run_pipeline(false);
+  ASSERT_FALSE(rep.tenants.empty());
+  rep.tenants[0].latency.p99 = rep.tenants[0].latency.max + 1.0;
+  EXPECT_THROW(rep.verify(), Error);
+
+  ServeReport rep2 = run_pipeline(false);
+  rep2.latency.p99 = rep2.latency.max + 1.0;
+  EXPECT_THROW(rep2.verify(), Error);
+
+  // Ordered on its own, but slower than the slowest request of the run.
+  ServeReport rep3 = run_pipeline(false);
+  ASSERT_FALSE(rep3.tenants.empty());
+  rep3.tenants[0].latency.max = rep3.latency.max + 1.0;
+  EXPECT_THROW(rep3.verify(), Error);
+}
+
 // -------------------------------------------------- plan cache identities
 
 TEST(PlanCacheInvariants, HoldAcrossEvictionAndInvalidation) {
@@ -271,6 +289,12 @@ TEST(ClusterReportVerify, RejectsShardRollupMismatch) {
   // More warm placements than placements is impossible.
   rep3.per_machine[0].warm_routed = rep3.per_machine[0].routed + 1;
   EXPECT_THROW(rep3.verify(), Error);
+}
+
+TEST(ClusterReportVerify, RejectsQuantilesAboveTheMax) {
+  cluster::ClusterReport rep = run_cluster_pipeline(false);
+  rep.latency.p99 = rep.latency.max + 1.0;
+  EXPECT_THROW(rep.verify(), Error);
 }
 
 /// The router's side of the clock-skew invariant: a shard's virtual

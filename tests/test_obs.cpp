@@ -12,6 +12,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/random.hpp"
@@ -58,26 +59,74 @@ TEST(Metrics, CounterAndGauge) {
   EXPECT_EQ(counters[0].first, "bytes");
 }
 
-TEST(Metrics, HistogramBucketEdges) {
-  // Bucket i counts x <= edges[i]; one overflow bucket past the last edge.
-  obs::Histogram h({10.0, 100.0});
-  for (double x : {5.0, 10.0, 10.0001, 100.0, 1000.0}) h.observe(x);
-  const auto counts = h.counts();
-  ASSERT_EQ(counts.size(), 3u);  // 2 edges + overflow
-  EXPECT_EQ(counts[0], 2u);      // 5, 10
-  EXPECT_EQ(counts[1], 2u);      // 10.0001, 100
-  EXPECT_EQ(counts[2], 1u);      // 1000
-  EXPECT_EQ(h.count(), 5u);
-  EXPECT_DOUBLE_EQ(h.sum(), 5 + 10 + 10.0001 + 100 + 1000);
+// Rank threads feed one histogram name concurrently; the registry mutex
+// must serialize them without losing or tearing an observation.
+TEST(Metrics, ConcurrentObserveConservesCountAndExtremes) {
+  obs::MetricsRegistry reg;
+  constexpr int kThreads = 8;
+  constexpr int kPerThread = 2000;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&reg, t] {
+      for (int i = 1; i <= kPerThread; ++i)
+        reg.observe("exchange/message_bytes",
+                    static_cast<double>(t * kPerThread + i));
+    });
+  for (std::thread& th : threads) th.join();
+
+  const auto hists = reg.histograms();
+  ASSERT_EQ(hists.size(), 1u);
+  const obs::LogLinearHistogram& h = hists[0].second;
+  constexpr double n = kThreads * kPerThread;
+  EXPECT_EQ(h.count(), static_cast<std::uint64_t>(n));
+  EXPECT_EQ(h.min(), 1.0);
+  EXPECT_EQ(h.max(), n);
+  // Integer-valued samples sum exactly in any order.
+  EXPECT_EQ(h.sum(), n * (n + 1) / 2);
 }
 
+// Registry histograms are log-linear: each power-of-two octave splits
+// into sub = 32 equal buckets, lower edge inclusive, upper exclusive.
+TEST(Metrics, HistogramBucketEdges) {
+  obs::MetricsRegistry reg;
+  for (double x : {1.0, 1.03, 1.03125, 1000.0, 1000.0})
+    reg.observe("exchange/message_bytes", x);
+  const auto hists = reg.histograms();
+  ASSERT_EQ(hists.size(), 1u);
+  const obs::LogLinearHistogram& h = hists[0].second;
+  ASSERT_EQ(h.sub(), 32);
+  const auto b = h.buckets();
+  ASSERT_EQ(b.size(), 3u);
+  EXPECT_EQ(b[0].first, 1.0);      // [1, 1 + 1/32): 1, 1.03
+  EXPECT_EQ(b[0].second, 2u);
+  EXPECT_EQ(b[1].first, 1.03125);  // an edge value opens its own bucket
+  EXPECT_EQ(b[1].second, 1u);
+  EXPECT_EQ(b[2].first, 992.0);    // [512, 1024) in steps of 16
+  EXPECT_EQ(b[2].second, 2u);
+  EXPECT_EQ(h.count(), 5u);
+  EXPECT_DOUBLE_EQ(h.sum(), 1 + 1.03 + 1.03125 + 1000 + 1000);
+}
+
+// Octave starts are powers of two, so bucket lower edges step
+// geometrically across octaves and every power of two is an edge.
 TEST(Metrics, GeometricEdges) {
-  const auto e = obs::geometric_edges(1024.0, 1e9, 4.0);
-  ASSERT_FALSE(e.empty());
-  EXPECT_DOUBLE_EQ(e.front(), 1024.0);
-  EXPECT_GE(e.back(), 1e9);
-  for (std::size_t i = 1; i < e.size(); ++i)
-    EXPECT_DOUBLE_EQ(e[i], e[i - 1] * 4.0);
+  obs::MetricsRegistry reg;
+  std::vector<double> xs;
+  for (double x = 1024.0; x < 4e9; x *= 4.0) xs.push_back(x);
+  for (double x : xs) reg.observe("fft/batch_bytes", x);
+  const auto hists = reg.histograms();
+  ASSERT_EQ(hists.size(), 1u);
+  const auto b = hists[0].second.buckets();
+  ASSERT_EQ(b.size(), xs.size());
+  EXPECT_EQ(b.front().first, 1024.0);
+  EXPECT_GE(b.back().first, 1e9);
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    EXPECT_EQ(b[i].first, xs[i]);
+    EXPECT_EQ(b[i].second, 1u);
+    if (i > 0) {
+      EXPECT_DOUBLE_EQ(b[i].first, b[i - 1].first * 4.0);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -192,8 +241,7 @@ TEST(SummaryExport, MentionsCategoriesAndMetrics) {
   obs::RunTrace run("summary run", 1, 1, true);
   run.tracer.complete(0, obs::Category::Exchange, "alltoallv", 0.0, 1e-3);
   run.metrics.counter("rank/0/bytes_sent").add(1 << 20);
-  run.metrics.histogram("exchange/message_bytes", {1024.0, 4096.0})
-      .observe(2048.0);
+  run.metrics.observe("exchange/message_bytes", 2048.0);
   std::ostringstream os;
   obs::write_run_summary(os, run);
   const std::string s = os.str();
@@ -293,7 +341,7 @@ TEST(RuntimeTrace, PlanTraceMatchesSpans) {
   const auto hists = tr->metrics.histograms();
   bool msg_hist = false;
   for (const auto& [name, h] : hists)
-    if (name == "exchange/message_bytes" && h->count() > 0) msg_hist = true;
+    if (name == "exchange/message_bytes" && h.count() > 0) msg_hist = true;
   EXPECT_TRUE(msg_hist);
 }
 
@@ -380,7 +428,7 @@ TEST(SimulateTrace, NestedSpansAndLinkCounters) {
   // Fan-out histogram saw one observation per (rank, reshape) execution.
   bool fanout = false;
   for (const auto& [name, h] : tr->metrics.histograms())
-    if (name == "reshape/fanout" && h->count() > 0) fanout = true;
+    if (name == "reshape/fanout" && h.count() > 0) fanout = true;
   EXPECT_TRUE(fanout);
 }
 

@@ -6,8 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <utility>
 #include <vector>
 
+#include "common/random.hpp"
 #include "serve/server.hpp"
 
 namespace parfft::serve {
@@ -354,14 +358,134 @@ TEST(Server, ReportThroughputMatchesCounts) {
               static_cast<double>(rep.completed), 1e-9);
 }
 
+// On a handful of samples the summary stays within one bucket of the
+// nearest-rank quantile and never above the largest sample.
 TEST(Server, LatencySummaryNearestRank) {
-  LatencySummary s = summarize_latencies({5, 1, 4, 2, 3});
-  EXPECT_DOUBLE_EQ(s.p50, 3);
+  obs::LogLinearHistogram h;
+  for (double x : {5.0, 1.0, 4.0, 2.0, 3.0}) h.observe(x);
+  const LatencySummary s = summarize(h);
+  EXPECT_NEAR(s.p50, 3.0, 3.0 / h.sub());
+  EXPECT_GE(s.p50, 3.0);
   EXPECT_DOUBLE_EQ(s.p99, 5);
   EXPECT_DOUBLE_EQ(s.max, 5);
+  EXPECT_DOUBLE_EQ(s.min, 1);
   EXPECT_DOUBLE_EQ(s.mean, 3);
-  LatencySummary empty = summarize_latencies({});
+  const LatencySummary empty = summarize(obs::LogLinearHistogram());
   EXPECT_DOUBLE_EQ(empty.p99, 0);
+}
+
+TEST(Server, SummarizeIsExactAtTheEndsAndBoundedInBetween) {
+  // A smooth lognormal population, as request latencies are.
+  obs::LogLinearHistogram h;
+  Rng rng(11);
+  std::vector<double> xs;
+  double sum = 0;
+  for (int i = 0; i < 20000; ++i) {
+    const double x = 0.05 * std::exp(0.5 * rng.normal());
+    xs.push_back(x);
+    sum += x;
+    h.observe(x);
+  }
+  const LatencySummary s = summarize(h);
+  std::sort(xs.begin(), xs.end());
+  EXPECT_EQ(s.min, xs.front());
+  EXPECT_EQ(s.max, xs.back());
+  EXPECT_EQ(s.mean, sum / static_cast<double>(xs.size()));
+  const double tol = 1.0 / (2.0 * h.sub());
+  const std::pair<double, double> quantiles[] = {
+      {0.50, s.p50}, {0.95, s.p95}, {0.99, s.p99}, {0.999, s.p999}};
+  for (const auto& [q, est] : quantiles) {
+    const auto rank = static_cast<std::size_t>(
+        std::ceil(q * static_cast<double>(xs.size())));
+    const double exact = xs[rank - 1];
+    EXPECT_NEAR(est, exact, tol * exact) << "q = " << q;
+    EXPECT_GE(est, s.min);
+    EXPECT_LE(est, s.max);
+  }
+  EXPECT_NO_THROW(s.verify("lognormal"));
+
+  // Three samples in one bucket: interpolation alone would put p99 past
+  // the largest sample; the clamp keeps it at the max.
+  obs::LogLinearHistogram few;
+  for (double x : {1.0, 1.01, 1.02}) few.observe(x);
+  const LatencySummary f = summarize(few);
+  EXPECT_EQ(f.min, 1.0);
+  EXPECT_EQ(f.p99, 1.02);
+  EXPECT_EQ(f.p999, 1.02);
+  EXPECT_EQ(f.max, 1.02);
+
+  const LatencySummary empty = summarize(obs::LogLinearHistogram());
+  EXPECT_EQ(empty.min, 0);
+  EXPECT_EQ(empty.p99, 0);
+  EXPECT_EQ(empty.mean, 0);
+  EXPECT_EQ(empty.max, 0);
+}
+
+// The serve and fault cells pinned by bench/perf_baseline: every
+// tenant's quantiles stay ordered and at or below that tenant's own max.
+TEST(Server, TenantQuantilesStayWithinTenantMaxOnPerfCells) {
+  constexpr std::uint64_t kSeed = 20260806;
+  const ClusterConfig c = test_cluster();
+  const auto check = [](const ServeReport& rep) {
+    ASSERT_FALSE(rep.tenants.empty());
+    for (const TenantReport& t : rep.tenants) {
+      const LatencySummary& l = t.latency;
+      EXPECT_GT(t.completed, 0u);
+      EXPECT_LE(l.p50, l.p95) << "tenant " << t.tenant;
+      EXPECT_LE(l.p95, l.p99) << "tenant " << t.tenant;
+      EXPECT_LE(l.p99, l.max) << "tenant " << t.tenant;
+      EXPECT_LE(l.max, rep.latency.max) << "tenant " << t.tenant;
+    }
+    EXPECT_NO_THROW(rep.verify());
+  };
+
+  {
+    const std::vector<ShapeMix> mix = {
+        {cube(64), 4.0}, {cube(128), 2.0}, {cube(32), 1.0}};
+    const double t1 =
+        core::Simulator(to_sim_config(c, cube(64))).transform_time(1);
+    ServerConfig cfg;
+    cfg.cluster = c;
+    for (const ShapeMix& m : mix) cfg.shapes.push_back(m.shape);
+    cfg.batching.max_batch = 8;
+    cfg.batching.max_delay = 4 * t1;
+    cfg.telemetry.window = 10 * t1;
+    cfg.telemetry.default_slo.latency = 600 * t1;
+    cfg.telemetry.default_slo.objective = 0.95;
+    Server server(cfg);
+    OpenLoopWorkload load(mix, 4.0 / t1, /*count=*/400, /*tenants=*/4, kSeed);
+    check(server.run(load));
+  }
+
+  {
+    const std::vector<ShapeMix> mix = {{cube(64), 3.0}, {cube(32), 1.0}};
+    const double t1 =
+        core::Simulator(to_sim_config(c, cube(64))).transform_time(1);
+    const double rate = 1.5 / t1;
+    ServerConfig cfg;
+    cfg.cluster = c;
+    for (const ShapeMix& m : mix) cfg.shapes.push_back(m.shape);
+    cfg.batching.max_batch = 8;
+    cfg.batching.max_delay = 2 * t1;
+    FaultSpec spec;
+    spec.seed = kSeed;
+    spec.horizon = 2.5 * 300 / rate;
+    spec.crash_mtbf = 50 * t1;
+    spec.crash_mttr = 5 * t1;
+    cfg.faults = FaultPlan::generate(spec);
+    cfg.retry.max_attempts = 4;
+    cfg.retry.backoff_base = 0.5 * t1;
+    cfg.retry.backoff_cap = 8 * t1;
+    cfg.retry.jitter_seed = kSeed;
+    cfg.retry.deadline = 60 * t1;
+    cfg.shed_expired = true;
+    cfg.telemetry.window = 2 * t1;
+    cfg.telemetry.default_slo.latency = 12 * t1;
+    cfg.telemetry.default_slo.objective = 0.95;
+    Server server(cfg);
+    OpenLoopWorkload load(mix, rate, /*count=*/300, /*tenants=*/4, kSeed);
+    check(server.run(load));
+  }
 }
 
 TEST(Server, ShapeKeyDistinguishesPlansAndMachines) {

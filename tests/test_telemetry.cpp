@@ -392,7 +392,8 @@ TEST(TelemetryServe, OnOffProducesIdenticalVirtualResults) {
     EXPECT_EQ(on.tenants[i].completed, off.tenants[i].completed);
     EXPECT_EQ(on.tenants[i].failed, off.tenants[i].failed);
     EXPECT_EQ(on.tenants[i].shed, off.tenants[i].shed);
-    EXPECT_DOUBLE_EQ(on.tenants[i].p99, off.tenants[i].p99);
+    EXPECT_DOUBLE_EQ(on.tenants[i].latency.p99, off.tenants[i].latency.p99);
+    EXPECT_DOUBLE_EQ(on.tenants[i].latency.max, off.tenants[i].latency.max);
     EXPECT_DOUBLE_EQ(on.tenants[i].attainment, off.tenants[i].attainment);
   }
 }
@@ -486,18 +487,22 @@ TEST(TelemetryServe, AlertTimelineAndFlightDumpFollowInjectedCrash) {
   }
 }
 
-// ---------------------------------------------- fixed-bucket histogram
-
 TEST(MetricsHistogram, QuantileInterpolatesAndClampsOverflow) {
-  Histogram h(std::vector<double>{1.0, 2.0, 4.0, 8.0});
-  for (int i = 0; i < 4; ++i) h.observe(1.5);
-  // All mass in (1, 2]: the median interpolates to the bucket middle.
-  EXPECT_DOUBLE_EQ(h.quantile(0.5), 1.5);
-  Histogram o(std::vector<double>{1.0, 2.0});
+  // Two samples spread over one bucket [1, 1 + 1/4) at sub = 4: the
+  // median interpolates halfway into the bucket.
+  LogLinearHistogram h(/*lo=*/1e-6, /*sub=*/4);
+  h.observe(1.0);
+  h.observe(1.2);
+  EXPECT_DOUBLE_EQ(h.quantile(0.5), 1.125);
+  // Interpolation past the largest sample clamps to the exact max, and
+  // a far outlier is reported as itself, not as a bucket edge.
+  EXPECT_DOUBLE_EQ(h.quantile(1.0), 1.2);
+  LogLinearHistogram o(/*lo=*/1e-6, /*sub=*/4);
+  o.observe(1.5);
   o.observe(100.0);
-  EXPECT_DOUBLE_EQ(o.quantile(1.0), 2.0)
-      << "overflow observations clamp to the last edge";
-  Histogram e(std::vector<double>{1.0});
+  EXPECT_DOUBLE_EQ(o.quantile(1.0), 100.0);
+  EXPECT_DOUBLE_EQ(o.quantile(0.0), 1.5);
+  LogLinearHistogram e;
   EXPECT_DOUBLE_EQ(e.quantile(0.5), 0.0) << "empty histogram";
 }
 
