@@ -70,10 +70,8 @@ void sweep_crash_mtbf(std::uint64_t requests) {
   struct Policy {
     const char* name;
     int attempts;
-    bool hedge;
   };
-  const Policy policies[] = {
-      {"fail-fast", 1, false}, {"retry x4", 4, false}, {"retry+hedge", 4, true}};
+  const Policy policies[] = {{"fail-fast", 1}, {"retry x4", 4}};
 
   std::printf("crash sweep: %llu requests at %.0f/s, crash MTTR 5x t1, "
               "deadline 60x t1\n",
@@ -97,8 +95,6 @@ void sweep_crash_mtbf(std::uint64_t requests) {
       cfg.retry.backoff_cap = 8 * t1;
       cfg.retry.jitter_seed = kSeed;
       cfg.retry.deadline = 60 * t1;
-      cfg.retry.hedge = pol.hedge;
-      cfg.retry.hedge_delay = 4 * t1;
       cfg.shed_expired = true;
       cfg.label = std::string("fault/crash_mtbf") +
                   (mtbf_units > 0 ? std::to_string(static_cast<int>(mtbf_units))

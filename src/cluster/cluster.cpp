@@ -727,7 +727,6 @@ ClusterReport Cluster::run(serve::Workload& workload) {
       c.dispatch = -1;
       c.completion = -1;
       c.attempt = 1;
-      c.hedge = false;  // a full request to its shard; the ROUTER dedups
       hedge_state.emplace(
           id, HedgeState{ph.req.arrival, ph.primary, sec, false, 0});
       ++rep.hedges_placed;

@@ -46,8 +46,7 @@ struct DegradeWindow {
   double nic_scale = 1.0;
 };
 
-/// Arrivals (first attempts, retries and hedges alike) dropped in
-/// [begin, end).
+/// Arrivals (first attempts and retries alike) dropped in [begin, end).
 struct BlackoutWindow {
   double begin = 0;
   double end = 0;
@@ -184,13 +183,6 @@ struct RetryPolicy {
   /// admission (0 = none). Retries stop once the deadline cannot be met,
   /// and deadline-aware shedding (ServerConfig::shed_expired) uses it.
   double deadline = 0;
-
-  /// Hedged resend: if a request is still queued `hedge_delay` after an
-  /// admission, submit a duplicate (best effort: a hedge that is itself
-  /// rejected or dropped is simply discarded). First copy to dispatch
-  /// wins; the other is cancelled.
-  bool hedge = false;
-  double hedge_delay = 0;
 };
 
 /// Backoff interval before attempt `next_attempt` (>= 2) of request `id`.

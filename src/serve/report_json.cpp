@@ -24,8 +24,8 @@ void ServeReport::write_json(std::ostream& os) const {
      << ",\"cancelled\":" << cancelled
      << ",\"rejected\":" << rejected << ",\"dropped\":" << dropped
      << ",\"aborted\":" << aborted << ",\"shed\":" << shed
-     << ",\"retries\":" << retries << ",\"hedges\":" << hedges
-     << ",\"crashes\":" << crashes << ",\"batches\":" << batches;
+     << ",\"retries\":" << retries << ",\"crashes\":" << crashes
+     << ",\"batches\":" << batches;
   os << ",\"makespan\":" << makespan << ",\"busy_time\":" << busy_time
      << ",\"downtime\":" << downtime << ",\"throughput\":" << throughput
      << ",\"goodput\":" << goodput << ",\"deadline_met\":" << deadline_met

@@ -62,7 +62,6 @@ struct Request {
   double submitted = -1;   ///< first-attempt arrival (-1 until admitted)
   double deadline = 0;     ///< absolute completion deadline (0 = none)
   int attempt = 1;         ///< submission attempt, 1-based
-  bool hedge = false;      ///< a hedged duplicate of a still-queued request
 
   double latency() const {
     return completion - (submitted >= 0 ? submitted : arrival);

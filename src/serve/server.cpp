@@ -40,9 +40,9 @@ void ServeReport::verify() const {
   PARFFT_CHECK(completed + failed + cancelled == offered,
                "serve report: completed + failed + cancelled != offered");
   // Every terminal outcome was reached by some submission attempt; the
-  // attempt traffic (first submissions + retries + hedges) can only
-  // exceed the terminal count, never undershoot it.
-  PARFFT_CHECK(offered + retries + hedges >= completed + failed + cancelled,
+  // attempt traffic (first submissions + retries) can only exceed the
+  // terminal count, never undershoot it.
+  PARFFT_CHECK(offered + retries >= completed + failed + cancelled,
                "serve report: fewer attempts than terminal outcomes");
   PARFFT_CHECK(admitted <= offered + retries,
                "serve report: more primaries admitted than submitted");
@@ -100,6 +100,7 @@ struct Server::Engine {
   const FaultPlan& faults;
   const RetryPolicy& retry;
   ServeReport rep;
+  const double setup_before;  ///< plan-cache setup paid before this run
 
   // Hot-path telemetry handles, interned once per run: the per-event
   // cost inside the loop is an indexed observe / ring write, never a
@@ -140,23 +141,14 @@ struct Server::Engine {
   std::size_t crash_idx = 0;
   double now = 0;
 
-  // Live submissions: an id is present while one of its copies is queued
-  // or executing, gone once terminal (completed or failed). At most one
-  // primary copy of an id exists at a time; hedged duplicates share the
-  // id and are collapsed at dispatch/completion. `attempt` detects stale
-  // hedge timers left over from an earlier attempt.
+  // Live submissions: an id is present while its one copy is queued or
+  // executing, gone once terminal or awaiting a retry.
   enum class State { Queued, Running };
-  struct Live {
-    State st;
-    int attempt;
-  };
-  std::map<std::uint64_t, Live> live;
+  std::map<std::uint64_t, State> live;
 
-  // Pending resubmissions, ordered by fire time.
+  // Pending resubmissions, ordered by fire time. An id here is never live.
   std::set<std::pair<double, std::uint64_t>> retry_q;
   std::map<std::uint64_t, Request> retry_req;
-  // Pending hedge timers carry the request they would duplicate.
-  std::map<std::pair<double, std::uint64_t>, Request> hedge_q;
 
   Engine(Server& s, Workload& w)
       : srv(s),
@@ -167,6 +159,7 @@ struct Server::Engine {
         batcher(s.cfg_.batching),
         faults(s.cfg_.faults),
         retry(s.cfg_.retry),
+        setup_before(s.cache_.setup_charged()),
         tel_on(tel.enabled()) {
     rep.offered = workload.offered();
     sid_queue = tel_on ? tel.series_id("serve/queue_depth")
@@ -207,16 +200,9 @@ struct Server::Engine {
     }
   }
 
-  void cancel_retry(std::uint64_t id) {
-    auto it = retry_req.find(id);
-    if (it == retry_req.end()) return;
-    retry_q.erase({it->second.arrival, id});
-    retry_req.erase(it);
-  }
-
   bool queued(std::uint64_t id) const {
     const auto it = live.find(id);
-    return it != live.end() && it->second.st == State::Queued;
+    return it != live.end() && it->second == State::Queued;
   }
 
   // External withdrawal of a queued request (the cluster router
@@ -225,26 +211,20 @@ struct Server::Engine {
   // flight-event name is interned on first use so runs that never cancel
   // keep an identical intern table.
   bool cancel_queued(std::uint64_t id, double t) {
-    auto it = live.find(id);
-    if (it == live.end() || it->second.st != State::Queued) return false;
+    if (!queued(id)) return false;
     std::optional<Request> r = batcher.remove(id);
     PARFFT_ASSERT(r.has_value());
-    live.erase(it);
-    cancel_retry(id);
-    for (auto h = hedge_q.begin(); h != hedge_q.end();)
-      h = h->first.second == id ? hedge_q.erase(h) : std::next(h);
+    live.erase(id);
     ++rep.cancelled;
     ++tenant_agg[r->tenant].cancelled;
     if (fl_cancelled == 0) fl_cancelled = tel.intern("cancelled");
     tel.flight(t, 0.0, obs::Category::Request, fl_cancelled, r->tenant);
-    if (run) run->metrics.counter("serve/cancelled").add(1);
     workload.on_complete(*r, t);
     return true;
   }
 
   // Terminal failure or resubmission after a failed attempt at `t`.
   void fail_or_retry(const Request& r, double t) {
-    if (r.hedge) return;  // best-effort duplicate; the primary owns the outcome
     bool terminal = r.attempt >= retry.max_attempts;
     double when = 0;
     if (!terminal) {
@@ -261,7 +241,6 @@ struct Server::Engine {
                      /*completed=*/false);
       tel.flight(t, 0.0, obs::Category::Request, fl_failed, r.tenant,
                  /*critical=*/true);
-      if (run) run->metrics.counter("serve/failed").add(1);
       workload.on_complete(r, t);
       return;
     }
@@ -274,11 +253,9 @@ struct Server::Engine {
     retry_q.insert({when, nr.id});
     retry_req[nr.id] = nr;
     tel.flight(t, when - t, obs::Category::Retry, fl_backoff, r.tenant);
-    if (run) {
-      run->metrics.counter("serve/retries").add(1);
+    if (run)
       run->tracer.complete(0, obs::Category::Retry, "backoff", t, when - t,
                            {{"attempt", static_cast<double>(nr.attempt)}});
-    }
   }
 
   void complete(Request& r, double t) {
@@ -286,7 +263,6 @@ struct Server::Engine {
     PARFFT_PARANOID_ASSERT(r.completion >= r.submitted);
     PARFFT_PARANOID_ASSERT(r.dispatch < 0 || r.completion >= r.dispatch);
     live.erase(r.id);
-    cancel_retry(r.id);  // a hedged duplicate may outrun its primary's retry
     rep.latencies.push_back(r.latency());
     lat_hist.observe(r.latency());
     wait_hist.observe(r.queue_wait());
@@ -308,7 +284,6 @@ struct Server::Engine {
           0, obs::Category::Request, "req", r.arrival, r.latency(),
           {{"tenant", static_cast<double>(r.tenant)},
            {"shape", static_cast<double>(r.shape_id)}});
-      run->metrics.observe("serve/latency_seconds", r.latency());
     }
     workload.on_complete(r, t);
   }
@@ -323,11 +298,8 @@ struct Server::Engine {
                            static_cast<double>(flight.batch.size()));
     rep.busy_time += flight.done - flight.start;
     if (awaiting_recovery) {
-      const double rec = flight.done - last_crash;
-      rep.recovery_times.push_back(rec);
+      rep.recovery_times.push_back(flight.done - last_crash);
       awaiting_recovery = false;
-      if (run)
-        run->metrics.observe("serve/recovery_seconds", rec);
     }
     busy = false;
   }
@@ -336,24 +308,21 @@ struct Server::Engine {
     if (r.submitted < 0) {
       r.submitted = r.arrival;
       if (retry.deadline > 0) r.deadline = r.submitted + retry.deadline;
-      if (!r.hedge) ++tenant_agg[r.tenant].offered;
+      ++tenant_agg[r.tenant].offered;
     }
     if (faults.in_blackout(r.arrival)) {
-      if (!r.hedge) {
-        ++rep.dropped;
-        if (run) run->metrics.counter("serve/dropped").add(1);
-        tel.flight(r.arrival, 0.0, obs::Category::Fault, "blackout_drop",
-                   r.tenant, /*critical=*/true);
-        // The fault layer fired a blackout: freeze one flight dump per
-        // window, at the first drop that reveals it.
-        for (const BlackoutWindow& w : faults.blackouts()) {
-          if (r.arrival >= w.begin && r.arrival < w.end) {
-            if (w.begin > last_blackout_dump) {
-              last_blackout_dump = w.begin;
-              tel.dump_flight("blackout", r.arrival);
-            }
-            break;
+      ++rep.dropped;
+      tel.flight(r.arrival, 0.0, obs::Category::Fault, "blackout_drop",
+                 r.tenant, /*critical=*/true);
+      // The fault layer fired a blackout: freeze one flight dump per
+      // window, at the first drop that reveals it.
+      for (const BlackoutWindow& w : faults.blackouts()) {
+        if (r.arrival >= w.begin && r.arrival < w.end) {
+          if (w.begin > last_blackout_dump) {
+            last_blackout_dump = w.begin;
+            tel.dump_flight("blackout", r.arrival);
           }
+          break;
         }
       }
       fail_or_retry(r, r.arrival);
@@ -362,25 +331,15 @@ struct Server::Engine {
     const bool full =
         cfg().queue_limit > 0 && batcher.pending() >= cfg().queue_limit;
     if (full) {
-      if (!r.hedge) {
-        ++rep.rejected;
-        if (run) run->metrics.counter("serve/rejected").add(1);
-      }
+      ++rep.rejected;
       // Fail fast (and let the retry policy, if any, resubmit): a
       // closed-loop client's rejected request is over and the client
       // moves on to its next round.
       fail_or_retry(r, r.arrival);
       return;
     }
-    if (r.hedge) {
-      ++rep.hedges;
-      if (run) run->metrics.counter("serve/hedges").add(1);
-    } else {
-      ++rep.admitted;
-      live[r.id] = Live{State::Queued, r.attempt};
-      if (retry.hedge)
-        hedge_q.emplace(std::make_pair(r.arrival + retry.hedge_delay, r.id), r);
-    }
+    ++rep.admitted;
+    live[r.id] = State::Queued;
     const double arrival = r.arrival;
     batcher.push(std::move(r));
     tel.observe(sid_queue, arrival, static_cast<double>(batcher.pending()));
@@ -415,11 +374,9 @@ struct Server::Engine {
     tel.flight(c.at, c.restart_delay, obs::Category::Fault, "crash", -1,
                /*critical=*/true);
     tel.dump_flight("crash", c.at);
-    if (run) {
+    if (run)
       run->tracer.complete(0, obs::Category::Fault, "crash", c.at,
                            c.restart_delay);
-      run->metrics.counter("serve/crashes").add(1);
-    }
     if (busy) {
       advance_work(c.at);
       // Sub-chunks whose results streamed off the device before the crash
@@ -435,10 +392,7 @@ struct Server::Engine {
           complete(r, c.at);
         } else {
           live.erase(r.id);
-          if (!r.hedge) {
-            ++rep.aborted;
-            if (run) run->metrics.counter("serve/aborted").add(1);
-          }
+          ++rep.aborted;
           fail_or_retry(r, c.at);
         }
       }
@@ -450,10 +404,7 @@ struct Server::Engine {
     for (Batch& b : batcher.flush()) {
       for (Request& r : b.requests) {
         live.erase(r.id);
-        if (!r.hedge) {
-          ++rep.aborted;
-          if (run) run->metrics.counter("serve/aborted").add(1);
-        }
+        ++rep.aborted;
         fail_or_retry(r, c.at);
       }
     }
@@ -474,7 +425,7 @@ struct Server::Engine {
     const double exec = look.plan->exec_time(b.size(), scale);
     for (Request& r : b.requests) {
       r.dispatch = now;
-      live[r.id].st = State::Running;
+      live[r.id] = State::Running;
     }
     flight.batch = std::move(b);
     flight.start = now;
@@ -511,9 +462,6 @@ struct Server::Engine {
            {"plan_setup", look.setup_charge},
            {"cache_hit", look.hit ? 1.0 : 0.0},
            {"nic_scale", scale}});
-      run->metrics.counter("serve/batches").add(1);
-      if (!look.hit)
-        run->metrics.counter("serve/plan_setup_seconds").add(look.setup_charge);
     }
   }
 
@@ -553,42 +501,24 @@ struct Server::Engine {
       retry_req.erase(it);
       admit(std::move(r));
     }
-    while (!hedge_q.empty() && hedge_q.begin()->first.first <= now) {
-      auto node = hedge_q.extract(hedge_q.begin());
-      const Request& orig = node.mapped();
-      auto it = live.find(orig.id);
-      // Fire only while the copy this timer was armed for still waits in
-      // the queue; timers for dispatched/terminal/re-attempted requests
-      // are stale and drop out here.
-      if (it == live.end() || it->second.st != State::Queued ||
-          it->second.attempt != orig.attempt)
-        continue;
-      Request h = orig;
-      h.hedge = true;
-      h.arrival = node.key().first;
-      admit(std::move(h));
-    }
     if (up && !busy && !batcher.empty()) {
-      // No more company can arrive once arrivals, retries and hedges are
-      // exhausted (closed-loop clients only re-submit on completion), so
-      // waiting out max_delay would be pure idle time: drain.
-      const bool drain =
-          workload.exhausted() && retry_q.empty() && hedge_q.empty();
+      // No more company can arrive once arrivals and retries are exhausted
+      // (closed-loop clients only re-submit on completion), so waiting out
+      // max_delay would be pure idle time: drain.
+      const bool drain = workload.exhausted() && retry_q.empty();
       while (!busy && !batcher.empty()) {
         Batch b = batcher.pop(now, drain);
         if (b.size() == 0) break;
         std::vector<Request> keep;
         keep.reserve(b.requests.size());
         for (Request& r : b.requests) {
-          auto it = live.find(r.id);
-          // Another copy of this id already ran (or runs now): collapse.
-          if (it == live.end() || it->second.st != State::Queued) continue;
+          // Each id has one copy, so whatever the batcher pops is live.
+          PARFFT_PARANOID_ASSERT(queued(r.id));
           if (cfg().shed_expired && r.deadline > 0 && now >= r.deadline) {
             // Deadline-aware shedding: executing an already-late request
             // wastes capacity the queue behind it needs. Terminal -- no
             // retry can beat a deadline that has passed.
-            live.erase(it);
-            cancel_retry(r.id);
+            live.erase(r.id);
             ++rep.shed;
             ++rep.failed;
             TenantAgg& ta = tenant_agg[r.tenant];
@@ -598,14 +528,9 @@ struct Server::Engine {
                            /*completed=*/false);
             tel.flight(now, 0.0, obs::Category::Request, fl_shed, r.tenant,
                        /*critical=*/true);
-            if (run) {
-              run->metrics.counter("serve/shed").add(1);
-              run->metrics.counter("serve/failed").add(1);
-            }
             workload.on_complete(r, now);
             continue;
           }
-          it->second.st = State::Running;
           keep.push_back(r);
         }
         if (keep.empty()) continue;
@@ -635,8 +560,6 @@ struct Server::Engine {
     }
     if (auto t = workload.peek()) next = std::min(next, *t);
     if (!retry_q.empty()) next = std::min(next, retry_q.begin()->first);
-    if (!hedge_q.empty() && !batcher.empty())
-      next = std::min(next, hedge_q.begin()->first.first);
     if (up && !busy && !batcher.empty())
       next = std::min(next, std::max(now, batcher.next_deadline()));
     if (!up && work_pending) next = std::min(next, restart_at);
@@ -677,7 +600,7 @@ struct Server::Engine {
                                      : 0.0;
     rep.retry_amplification =
         rep.offered > 0
-            ? static_cast<double>(rep.offered + rep.retries + rep.hedges) /
+            ? static_cast<double>(rep.offered + rep.retries) /
                   static_cast<double>(rep.offered)
             : 0.0;
     rep.latency = summarize(lat_hist);
@@ -745,21 +668,39 @@ struct Server::Engine {
         run->tracer.complete(0, obs::Category::Fault, "blackout", w.begin,
                              std::min(w.end, rep.makespan) - w.begin);
       }
-      run->metrics.counter("serve/completed").add(
-          static_cast<double>(rep.completed));
-      run->metrics.gauge("serve/throughput").set(rep.throughput);
-      run->metrics.gauge("serve/goodput").set(rep.goodput);
-      run->metrics.gauge("serve/utilization").set(rep.utilization);
-      run->metrics.gauge("serve/retry_amplification")
-          .set(rep.retry_amplification);
-      run->metrics.gauge("serve/downtime_seconds").set(rep.downtime);
-      run->metrics.gauge("serve/cache_hits").set(
-          static_cast<double>(rep.cache_hits));
-      run->metrics.gauge("serve/cache_misses").set(
-          static_cast<double>(rep.cache_misses));
     }
     PARFFT_IF_PARANOID(rep.verify());
+    if (run) publish_metrics(run->metrics);
     return rep;
+  }
+
+  /// The run's serve/* trace metrics, all read off the finished report:
+  /// the report is the one ledger and the registry a view of it. Counters
+  /// that never fired are left out, so a fault-free summary lists no
+  /// fault rows.
+  void publish_metrics(obs::MetricsRegistry& m) const {
+    m.counter("serve/completed").add(static_cast<double>(rep.completed));
+    const std::pair<const char*, std::uint64_t> counts[] = {
+        {"serve/failed", rep.failed},     {"serve/cancelled", rep.cancelled},
+        {"serve/rejected", rep.rejected}, {"serve/dropped", rep.dropped},
+        {"serve/aborted", rep.aborted},   {"serve/shed", rep.shed},
+        {"serve/retries", rep.retries},   {"serve/crashes", rep.crashes},
+        {"serve/batches", rep.batches}};
+    for (const auto& [name, n] : counts)
+      if (n > 0) m.counter(name).add(static_cast<double>(n));
+    // The cache totals span every run of this Server; the setup paid is
+    // this run's share of them.
+    const double setup = rep.setup_charged - setup_before;
+    if (setup > 0) m.counter("serve/plan_setup_seconds").add(setup);
+    m.gauge("serve/throughput").set(rep.throughput);
+    m.gauge("serve/goodput").set(rep.goodput);
+    m.gauge("serve/utilization").set(rep.utilization);
+    m.gauge("serve/retry_amplification").set(rep.retry_amplification);
+    m.gauge("serve/downtime_seconds").set(rep.downtime);
+    m.gauge("serve/cache_hits").set(static_cast<double>(rep.cache_hits));
+    m.gauge("serve/cache_misses").set(static_cast<double>(rep.cache_misses));
+    for (double v : rep.latencies) m.observe("serve/latency_seconds", v);
+    for (double v : rep.recovery_times) m.observe("serve/recovery_seconds", v);
   }
 };
 

@@ -7,8 +7,8 @@
 /// because every transform already spans all GPUs of the machine (the
 /// paper's one-rank-per-GPU placement). The event loop advances virtual
 /// time between its event sources -- workload arrivals, the batcher's
-/// max-delay deadline, the executor finishing, retry/hedge timers and
-/// the fault schedule -- and is fully deterministic for a given workload
+/// max-delay deadline, the executor finishing, retry timers and the
+/// fault schedule -- and is fully deterministic for a given workload
 /// seed and FaultPlan.
 ///
 /// Per-request costs come from the same models the rest of the repo
@@ -114,8 +114,8 @@ struct TenantReport {
   std::uint64_t offered = 0;
   std::uint64_t completed = 0;
   std::uint64_t failed = 0;
-  /// Withdrawn while queued by the submitter (cluster hedge losers);
-  /// neither a success nor a failure, and never charged to the SLO.
+  /// Withdrawn while queued (Server::cancel_queued); neither a success
+  /// nor a failure, and never charged to the SLO.
   std::uint64_t cancelled = 0;
   std::uint64_t shed = 0;
   LatencySummary latency;    ///< completed requests only
@@ -133,25 +133,25 @@ struct TenantReport {
 ///
 /// Terminal accounting: every offered request ends exactly once --
 /// `completed`, `failed`, or `cancelled` (completed + failed + cancelled
-/// == offered; cancelled is 0 outside the cluster tier's hedged
-/// failover). The attempt-level counters (rejected, dropped, aborted,
-/// shed, retries, hedges) describe the intermediate outcomes that led
-/// there.
+/// == offered; cancelled stays 0 until Server::cancel_queued is
+/// called). The attempt-level counters (rejected, dropped, aborted,
+/// shed, retries) describe the intermediate outcomes that led there.
+///
+/// The report is also the one source of the run's serve/* trace
+/// metrics: the engine publishes them from it when the run finishes.
 struct ServeReport {
   std::uint64_t offered = 0;    ///< requests the workload generated
   std::uint64_t admitted = 0;   ///< submissions accepted past admission
   std::uint64_t completed = 0;
   std::uint64_t failed = 0;     ///< permanently failed (attempts/deadline out)
-  /// Withdrawn while queued via Server::cancel_queued -- the cluster
-  /// router cancelling the losing copy of a cross-shard hedge. Terminal
-  /// (the id never dispatches here) but neither success nor failure.
+  /// Withdrawn while queued via Server::cancel_queued. Terminal (the id
+  /// never dispatches here) but neither success nor failure.
   std::uint64_t cancelled = 0;
   std::uint64_t rejected = 0;   ///< submissions bounced by the queue limit
   std::uint64_t dropped = 0;    ///< submissions lost to arrival blackouts
   std::uint64_t aborted = 0;    ///< requests lost to crashes (in flight or queued)
   std::uint64_t shed = 0;       ///< deadline-expired requests shed at dispatch
   std::uint64_t retries = 0;    ///< resubmissions scheduled by the retry policy
-  std::uint64_t hedges = 0;     ///< hedged duplicates enqueued
   std::uint64_t crashes = 0;    ///< executor crashes during the run
   std::uint64_t batches = 0;    ///< batched executions dispatched
 
@@ -165,7 +165,7 @@ struct ServeReport {
   std::uint64_t deadline_met = 0;  ///< completions within their deadline
   double utilization = 0;  ///< busy_time / makespan
   double mean_batch = 0;   ///< completed / batches
-  /// (first attempts + retries + hedges) / offered: how much extra
+  /// (first attempts + retries) / offered: how much extra
   /// submission traffic the fault/recovery behaviour generated.
   double retry_amplification = 0;
 

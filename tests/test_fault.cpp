@@ -476,26 +476,6 @@ TEST(FaultServer, BlackoutDropsArrivalsAndRetriesRecoverThem) {
   EXPECT_GT(rep.retry_amplification, 1.0);
 }
 
-TEST(FaultServer, HedgedResendsKeepAccountingConsistent) {
-  const double t1 = unit_time(cube(64));
-  const std::vector<ShapeMix> mix = {{cube(64), 1.0}};
-  ServerConfig cfg = base_config({cube(64)});
-  // Long coalescing delay: requests sit queued long enough to hedge.
-  cfg.batching.max_batch = 64;
-  cfg.batching.max_delay = 4.0 * t1;
-  cfg.retry.hedge = true;
-  cfg.retry.hedge_delay = 0.5 * t1;
-  Server server(cfg);
-  OpenLoopWorkload load(mix, /*rate=*/2.0 / t1, /*count=*/60, 2, 31);
-  const ServeReport rep = server.run(load);
-
-  EXPECT_GT(rep.hedges, 0u) << "queued past hedge_delay must duplicate";
-  EXPECT_EQ(rep.completed, rep.offered)
-      << "duplicates collapse; every request completes exactly once";
-  EXPECT_EQ(rep.failed, 0u);
-  EXPECT_GT(rep.retry_amplification, 1.0) << "hedges are extra traffic";
-}
-
 TEST(FaultServer, DeadlineAccountingMatchesThroughputWhenGenerous) {
   const std::vector<ShapeMix> mix = {{cube(64), 1.0}};
   ServerConfig cfg = base_config({cube(64)});

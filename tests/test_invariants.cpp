@@ -35,7 +35,7 @@ JobShape cube(int n) {
   return s;
 }
 
-/// The full pipeline: faults, retries, hedging, batching, shedding and a
+/// The full pipeline: faults, retries, batching, shedding and a
 /// capacity-bounded plan cache all active at once.
 ServerConfig pipeline_config() {
   ServerConfig cfg;
@@ -48,8 +48,6 @@ ServerConfig pipeline_config() {
   cfg.shed_expired = true;
   cfg.retry.max_attempts = 3;
   cfg.retry.deadline = 60.0;
-  cfg.retry.hedge = true;
-  cfg.retry.hedge_delay = 5.0;
 
   FaultSpec spec;
   spec.seed = 7;
@@ -100,7 +98,6 @@ TEST(Paranoid, CheckedRunIsByteIdenticalToUncheckedRun) {
   EXPECT_EQ(on.aborted, off.aborted);
   EXPECT_EQ(on.shed, off.shed);
   EXPECT_EQ(on.retries, off.retries);
-  EXPECT_EQ(on.hedges, off.hedges);
   EXPECT_EQ(on.crashes, off.crashes);
   EXPECT_EQ(on.batches, off.batches);
   EXPECT_EQ(on.makespan, off.makespan);

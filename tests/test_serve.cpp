@@ -8,10 +8,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <map>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "common/random.hpp"
+#include "obs/session.hpp"
 #include "serve/server.hpp"
 
 namespace parfft::serve {
@@ -486,6 +490,105 @@ TEST(Server, TenantQuantilesStayWithinTenantMaxOnPerfCells) {
     OpenLoopWorkload load(mix, rate, /*count=*/300, /*tenants=*/4, kSeed);
     check(server.run(load));
   }
+}
+
+TEST(Server, TraceMetricsMatchReport) {
+  // An overloaded, traced run with every fault class and recovery path
+  // firing, plus one external cancellation: each serve/* counter and
+  // gauge the engine publishes must equal its report field.
+  const double t1 =
+      core::Simulator(to_sim_config(test_cluster(), cube(64))).transform_time(1);
+  const std::vector<ShapeMix> mix = {{cube(64), 1.0}};
+  constexpr std::uint64_t kCount = 400;
+  ServerConfig cfg = base_config({cube(64)});
+  cfg.batching.max_batch = 4;
+  cfg.batching.max_delay = 2 * t1;
+  cfg.queue_limit = 8;
+  cfg.shed_expired = true;
+  cfg.retry.max_attempts = 3;
+  cfg.retry.backoff_base = 0.5 * t1;
+  cfg.retry.backoff_cap = 8 * t1;
+  cfg.retry.jitter_seed = 17;
+  cfg.retry.deadline = 10 * t1;
+  FaultSpec spec;
+  spec.seed = 17;
+  spec.horizon = 400 * t1;
+  spec.crash_mtbf = 30 * t1;
+  spec.crash_mttr = 5 * t1;
+  spec.degrade_mtbf = 25 * t1;
+  spec.degrade_mttr = 5 * t1;
+  spec.degrade_scale = 0.5;
+  spec.blackout_mtbf = 40 * t1;
+  spec.blackout_mttr = 2 * t1;
+  cfg.faults = FaultPlan::generate(spec);
+  cfg.trace.enabled = true;
+  cfg.label = "test/trace_metrics";
+
+  Server server(cfg);
+  OpenLoopWorkload load(mix, /*rate=*/3.0 / t1, kCount, /*tenants=*/2, 17);
+  const std::size_t runs_before = obs::Session::global().runs().size();
+  server.begin(load);
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  bool cancelled = false;
+  for (double t = server.next_event_time(); t < kInf;
+       t = server.next_event_time()) {
+    server.advance_to(t);
+    for (std::uint64_t id = 0; id < kCount && !cancelled; ++id)
+      cancelled = server.queued(id) && server.cancel_queued(id, t);
+  }
+  const ServeReport rep = server.finish();
+  rep.verify();
+  const auto runs = obs::Session::global().runs();
+  ASSERT_EQ(runs.size(), runs_before + 1);
+  const obs::MetricsRegistry& m = runs.back()->metrics;
+
+  // The run must exercise every counter, or equality proves little.
+  for (std::uint64_t n : {rep.failed, rep.cancelled, rep.rejected,
+                          rep.dropped, rep.aborted, rep.shed, rep.retries,
+                          rep.crashes, rep.batches})
+    EXPECT_GT(n, 0u);
+
+  const std::map<std::string, double> want_counters = {
+      {"serve/completed", static_cast<double>(rep.completed)},
+      {"serve/failed", static_cast<double>(rep.failed)},
+      {"serve/cancelled", static_cast<double>(rep.cancelled)},
+      {"serve/rejected", static_cast<double>(rep.rejected)},
+      {"serve/dropped", static_cast<double>(rep.dropped)},
+      {"serve/aborted", static_cast<double>(rep.aborted)},
+      {"serve/shed", static_cast<double>(rep.shed)},
+      {"serve/retries", static_cast<double>(rep.retries)},
+      {"serve/crashes", static_cast<double>(rep.crashes)},
+      {"serve/batches", static_cast<double>(rep.batches)},
+      // A fresh Server: this run paid all of the cache's setup.
+      {"serve/plan_setup_seconds", rep.setup_charged}};
+  const std::map<std::string, double> want_gauges = {
+      {"serve/throughput", rep.throughput},
+      {"serve/goodput", rep.goodput},
+      {"serve/utilization", rep.utilization},
+      {"serve/retry_amplification", rep.retry_amplification},
+      {"serve/downtime_seconds", rep.downtime},
+      {"serve/cache_hits", static_cast<double>(rep.cache_hits)},
+      {"serve/cache_misses", static_cast<double>(rep.cache_misses)}};
+  const auto check = [](const std::vector<std::pair<std::string, double>>& got,
+                        const std::map<std::string, double>& want) {
+    std::size_t seen = 0;
+    for (const auto& [name, v] : got) {
+      if (name.rfind("serve/", 0) != 0) continue;
+      ++seen;
+      const auto it = want.find(name);
+      ASSERT_NE(it, want.end()) << name << " has no report field";
+      EXPECT_EQ(v, it->second) << name;
+    }
+    EXPECT_EQ(seen, want.size());
+  };
+  check(m.counters(), want_counters);
+  check(m.gauges(), want_gauges);
+
+  std::map<std::string, std::uint64_t> hist_counts;
+  for (const auto& [name, h] : m.histograms()) hist_counts[name] = h.count();
+  EXPECT_EQ(hist_counts["serve/latency_seconds"], rep.completed);
+  EXPECT_EQ(hist_counts["serve/recovery_seconds"], rep.recovery_times.size());
+  EXPECT_GT(rep.recovery_times.size(), 0u);
 }
 
 TEST(Server, ShapeKeyDistinguishesPlansAndMachines) {
