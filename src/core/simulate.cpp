@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/error.hpp"
+#include "common/paranoid.hpp"
 #include "core/pack.hpp"
 #include "obs/session.hpp"
 
@@ -22,14 +23,67 @@ std::vector<Box3> brick_layout(const std::array<int, 3>& n, int nranks) {
 
 namespace {
 
+net::TransferMode transfer_mode(const SimConfig& cfg) {
+  return cfg.gpu_aware ? net::TransferMode::GpuAware
+                       : net::TransferMode::Staged;
+}
+
+std::vector<int> identity_group(int nranks) {
+  std::vector<int> group(static_cast<std::size_t>(nranks));
+  for (int r = 0; r < nranks; ++r) group[static_cast<std::size_t>(r)] = r;
+  return group;
+}
+
+/// GPU kernel time to pack (or unpack) `transfers` of `b` batch elements
+/// out of (into) `box`: one strided region copy per transfer plus one
+/// launch when there is anything to move.
+double pack_kernel_time(const gpu::DeviceSpec& device, const Box3& box,
+                        const std::vector<Transfer>& transfers, int b) {
+  double t = 0;
+  for (const Transfer& tr : transfers)
+    t += gpu::pack_region_cost(
+        device, static_cast<double>(tr.region.count() * b) * sizeof(cplx),
+        pack_contiguous_run(box, tr.region));
+  if (!transfers.empty()) t += device.kernel_launch;
+  return t;
+}
+
+/// The one reshape pricing formula, shared by the memo and the traced
+/// sequential pass. `stats`, when non-null, receives the exchange's
+/// per-link utilization.
+ReshapeCost price_reshape(const StagePlan& plan, const ReshapePlan& rp, int b,
+                          const gpu::DeviceSpec& device,
+                          const net::CommCost& cost, net::TransferMode mode,
+                          net::MpiFlavor flavor,
+                          const std::vector<int>& group,
+                          net::LinkStats* stats) {
+  ReshapeCost rc;
+  const auto R = static_cast<std::size_t>(plan.nranks);
+  rc.pack.assign(R, 0.0);
+  rc.unpack.assign(R, 0.0);
+  for (std::size_t r = 0; r < R; ++r) {
+    const int rank = static_cast<int>(r);
+    rc.pack[r] = pack_kernel_time(device, rp.from()[r], rp.sends(rank), b);
+    rc.unpack[r] = pack_kernel_time(device, rp.to()[r], rp.recvs(rank), b);
+    rc.max_pack = std::max(rc.max_pack, rc.pack[r]);
+    rc.max_unpack = std::max(rc.max_unpack, rc.unpack[r]);
+  }
+  rc.phase = cost.exchange(group, rp.send_matrix(b),
+                           to_alg(plan.options.backend), mode, flavor, stats);
+  return rc;
+}
+
 /// One simulated execution pass over the stages, advancing `clocks`.
+/// Untraced passes read reshape costs from `memo`; a traced pass prices
+/// each reshape once itself, because it also needs the exchange's link
+/// statistics and calibration.
 class StageRunner {
  public:
   StageRunner(const SimConfig& cfg, const StagePlan& plan,
-              const net::CommCost& cost, SimReport& report,
-              std::vector<gpu::PlanCache>& caches,
+              const net::CommCost& cost, StageCostMemo& memo,
+              SimReport& report, std::vector<gpu::PlanCache>& caches,
               std::vector<double>& clocks, obs::RunTrace* run)
-      : cfg_(cfg), plan_(plan), cost_(cost), report_(report),
+      : cfg_(cfg), plan_(plan), cost_(cost), memo_(memo), report_(report),
         caches_(caches), clocks_(clocks), run_(run) {}
 
   void run_transform() {
@@ -37,10 +91,10 @@ class StageRunner {
       for (int r = 0; r < plan_.nranks; ++r)
         run_->tracer.begin(r, obs::Category::Transform, "fft3d",
                            clocks_[static_cast<std::size_t>(r)]);
-    std::size_t reshape_idx = 0;
-    for (const Stage& s : plan_.stages) {
+    for (std::size_t i = 0; i < plan_.stages.size(); ++i) {
+      const Stage& s = plan_.stages[i];
       if (s.kind == Stage::Kind::Reshape) {
-        run_reshape(s, reshape_idx++);
+        run_reshape(s, i);
       } else {
         run_fft(s);
       }
@@ -52,22 +106,17 @@ class StageRunner {
   }
 
  private:
-  net::TransferMode mode() const {
-    return cfg_.gpu_aware ? net::TransferMode::GpuAware
-                          : net::TransferMode::Staged;
-  }
+  net::TransferMode mode() const { return transfer_mode(cfg_); }
 
-  /// Per-reshape costs are identical across repeats; compute once.
-  struct ReshapeCosts {
-    std::vector<double> pack, unpack;  // per rank
-    double max_pack = 0, max_unpack = 0;
-    net::PhaseTimes phase;
-    net::LinkStats stats;  ///< filled only when tracing is on
-    // Calibration for obs::ExchangeRecord (filled only when tracing is
-    // on): the busiest sender's remote traffic, and the uncontended
-    // bandwidth / fixed per-message cost a representative message of this
-    // exchange measures against the idle fabric (the B and L of
-    // model eqs. (2)-(5)).
+  /// A traced reshape's cost plus what obs needs about its exchange.
+  /// Identical across repeats; computed once per stage.
+  struct TracedReshape {
+    ReshapeCost cost;
+    net::LinkStats stats;
+    // Calibration for obs::ExchangeRecord: the busiest sender's remote
+    // traffic, and the uncontended bandwidth / fixed per-message cost a
+    // representative message of this exchange measures against the idle
+    // fabric (the B and L of model eqs. (2)-(5)).
     double bytes_total = 0;
     double max_rank_bytes = 0;
     int max_rank_msgs = 0;
@@ -75,55 +124,25 @@ class StageRunner {
     double per_msg_cost = 0;
   };
 
-  const ReshapeCosts& reshape_costs(const Stage& s, std::size_t idx) {
-    if (reshape_cache_.size() <= idx) reshape_cache_.resize(idx + 1);
-    auto& slot = reshape_cache_[idx];
+  const TracedReshape& traced_reshape(const Stage& s, std::size_t stage) {
+    if (traced_.size() <= stage) traced_.resize(stage + 1);
+    auto& slot = traced_[stage];
     if (slot) return *slot;
-    slot = std::make_unique<ReshapeCosts>();
-    ReshapeCosts& rc = *slot;
-    const ReshapePlan& rp = s.reshape;
-    const int R = plan_.nranks;
+    slot = std::make_unique<TracedReshape>();
+    TracedReshape& tr = *slot;
     const int batch = plan_.options.batch;
-    const bool datatype = backend_is_datatype(plan_.options.backend);
-    rc.pack.assign(static_cast<std::size_t>(R), 0.0);
-    rc.unpack.assign(static_cast<std::size_t>(R), 0.0);
-    if (!datatype) {
-      for (int r = 0; r < R; ++r) {
-        double t = 0;
-        const Box3& from = rp.from()[static_cast<std::size_t>(r)];
-        for (const Transfer& tr : rp.sends(r))
-          t += gpu::pack_region_cost(
-              cfg_.device,
-              static_cast<double>(tr.region.count() * batch) * sizeof(cplx),
-              pack_contiguous_run(from, tr.region));
-        if (!rp.sends(r).empty()) t += cfg_.device.kernel_launch;
-        rc.pack[static_cast<std::size_t>(r)] = t;
-        rc.max_pack = std::max(rc.max_pack, t);
-        double u = 0;
-        const Box3& to = rp.to()[static_cast<std::size_t>(r)];
-        for (const Transfer& tr : rp.recvs(r))
-          u += gpu::pack_region_cost(
-              cfg_.device,
-              static_cast<double>(tr.region.count() * batch) * sizeof(cplx),
-              pack_contiguous_run(to, tr.region));
-        if (!rp.recvs(r).empty()) u += cfg_.device.kernel_launch;
-        rc.unpack[static_cast<std::size_t>(r)] = u;
-        rc.max_unpack = std::max(rc.max_unpack, u);
-      }
-    }
-    std::vector<int> group(static_cast<std::size_t>(R));
-    for (int r = 0; r < R; ++r) group[static_cast<std::size_t>(r)] = r;
-    rc.phase = cost_.exchange(group, rp.send_matrix(batch),
-                              to_alg(plan_.options.backend), mode(),
-                              cfg_.flavor, run_ ? &rc.stats : nullptr);
-    if (run_ != nullptr) calibrate_exchange(rp, batch, rc);
-    return rc;
+    tr.cost = price_reshape(plan_, s.reshape, batch, cfg_.device, cost_,
+                            mode(), cfg_.flavor,
+                            identity_group(plan_.nranks), &tr.stats);
+    calibrate_exchange(s.reshape, batch, tr);
+    return tr;
   }
 
   /// Measures the busiest sender's traffic and the uncontended (B, L)
   /// pair for this exchange. Read-only over the fabric: single_flow_time
   /// and point_to_point are const, so tracing never perturbs the run.
-  void calibrate_exchange(const ReshapePlan& rp, int batch, ReshapeCosts& rc) {
+  void calibrate_exchange(const ReshapePlan& rp, int batch,
+                          TracedReshape& rc) {
     int busiest = -1, busiest_peer = -1;
     for (int r = 0; r < plan_.nranks; ++r) {
       double sent = 0;
@@ -154,26 +173,35 @@ class StageRunner {
         0.0);
   }
 
-  void run_reshape(const Stage& s, std::size_t idx) {
+  void run_reshape(const Stage& s, std::size_t stage) {
     const int R = plan_.nranks;
-    const ReshapeCosts& rc = reshape_costs(s, idx);
+    const TracedReshape* traced =
+        run_ != nullptr ? &traced_reshape(s, stage) : nullptr;
+    const ReshapeCost& rc =
+        traced != nullptr
+            ? traced->cost
+            : memo_.reshape(plan_, stage, plan_.options.batch, cfg_.device,
+                            cost_, mode(), cfg_.flavor);
+    // The datatype backend packs inside MPI: no GPU pack or unpack here
+    // (the overlapped pipeline charges them; see ReshapeCost).
+    const bool gpu_pack = !backend_is_datatype(plan_.options.backend);
     if (run_ != nullptr)
       for (int r = 0; r < R; ++r)
         run_->tracer.begin(r, obs::Category::Reshape, "reshape",
                            clocks_[static_cast<std::size_t>(r)]);
     for (int r = 0; r < R; ++r) {
-      const double p = rc.pack[static_cast<std::size_t>(r)];
+      const double p = gpu_pack ? rc.pack[static_cast<std::size_t>(r)] : 0.0;
       if (run_ != nullptr && p > 0)
         run_->tracer.complete(r, obs::Category::Pack, "pack",
                               clocks_[static_cast<std::size_t>(r)], p);
       clocks_[static_cast<std::size_t>(r)] += p;
     }
-    report_.kernels.pack += rc.max_pack;
+    report_.kernels.pack += gpu_pack ? rc.max_pack : 0.0;
 
     // Exchange: globally synchronizing collective, per-rank completion
     // from the congestion-aware model (identical call to threaded mode).
     const double base = *std::max_element(clocks_.begin(), clocks_.end());
-    if (run_ != nullptr) record_reshape_obs(s, rc, base);
+    if (traced != nullptr) record_reshape_obs(s, *traced, base);
     for (int r = 0; r < R; ++r) {
       if (run_ != nullptr) {
         const double c = clocks_[static_cast<std::size_t>(r)];
@@ -192,7 +220,8 @@ class StageRunner {
         {backend_name(plan_.options.backend), rc.phase.total});
 
     for (int r = 0; r < R; ++r) {
-      const double u = rc.unpack[static_cast<std::size_t>(r)];
+      const double u =
+          gpu_pack ? rc.unpack[static_cast<std::size_t>(r)] : 0.0;
       if (run_ != nullptr && u > 0)
         run_->tracer.complete(r, obs::Category::Unpack, "unpack",
                               clocks_[static_cast<std::size_t>(r)], u);
@@ -200,13 +229,13 @@ class StageRunner {
       if (run_ != nullptr)
         run_->tracer.end(r, clocks_[static_cast<std::size_t>(r)]);
     }
-    report_.kernels.unpack += rc.max_unpack;
+    report_.kernels.unpack += gpu_pack ? rc.max_unpack : 0.0;
   }
 
   /// Per-execution metrics: bytes sent, message sizes, fan-out, and the
   /// link-utilization record of this reshape's exchange (gauges keep the
   /// peak over executions; counter tracks get the time-shifted samples).
-  void record_reshape_obs(const Stage& s, const ReshapeCosts& rc,
+  void record_reshape_obs(const Stage& s, const TracedReshape& rc,
                           double base) {
     const ReshapePlan& rp = s.reshape;
     const int batch = plan_.options.batch;
@@ -241,7 +270,7 @@ class StageRunner {
     obs::ExchangeRecord rec;
     rec.name = backend_name(plan_.options.backend);
     rec.begin = base;
-    rec.duration = rc.phase.total;
+    rec.duration = rc.cost.phase.total;
     rec.nranks = plan_.nranks;
     rec.bytes_total = rc.bytes_total;
     rec.max_rank_bytes = rc.max_rank_bytes;
@@ -319,11 +348,12 @@ class StageRunner {
   const SimConfig& cfg_;
   const StagePlan& plan_;
   const net::CommCost& cost_;
+  StageCostMemo& memo_;
   SimReport& report_;
   std::vector<gpu::PlanCache>& caches_;
   std::vector<double>& clocks_;
   obs::RunTrace* run_;  ///< nullptr when tracing is off
-  std::vector<std::unique_ptr<ReshapeCosts>> reshape_cache_;
+  std::vector<std::unique_ptr<TracedReshape>> traced_;  ///< per stage
   bool first_transform_ = true;
 };
 
@@ -337,21 +367,57 @@ int BatchProfile::delivered(double work) const {
   return done;
 }
 
+const ReshapeCost& StageCostMemo::reshape(
+    const StagePlan& plan, std::size_t stage, int b,
+    const gpu::DeviceSpec& device, const net::CommCost& cost,
+    net::TransferMode mode, net::MpiFlavor flavor,
+    const std::vector<int>& group) {
+  PARFFT_ASSERT(stage < plan.stages.size() &&
+                plan.stages[stage].kind == Stage::Kind::Reshape);
+  ++counters_.stage_lookups;
+  const std::tuple<double, std::size_t, int> key{cost.flowsim().nic_scale(),
+                                                 stage, b};
+  auto it = entries_.find(key);
+  if (it != entries_.end()) {
+    ++counters_.stage_hits;
+  } else {
+    ++counters_.stage_misses;
+    ++counters_.exchange_solves;
+    it = entries_
+             .emplace(key, price_reshape(
+                               plan, plan.stages[stage].reshape, b, device,
+                               cost, mode, flavor,
+                               group.empty() ? identity_group(plan.nranks)
+                                             : group,
+                               nullptr))
+             .first;
+  }
+  PARFFT_IF_PARANOID(check_invariants());
+  return it->second;
+}
+
+void StageCostMemo::check_invariants() const {
+  PARFFT_CHECK(counters_.stage_hits + counters_.stage_misses ==
+                   counters_.stage_lookups,
+               "stage-cost memo: hits + misses != lookups");
+  PARFFT_CHECK(counters_.exchange_solves == counters_.stage_misses &&
+                   counters_.stage_misses == entries_.size(),
+               "stage-cost memo: exchange solves, misses and entries differ");
+}
+
 double overlapped_batch_time(const StagePlan& plan,
                              const gpu::DeviceSpec& device,
                              const net::CommCost& cost,
                              net::TransferMode mode, net::MpiFlavor flavor,
                              int batch, const std::vector<int>& group_in,
-                             BatchProfile* profile) {
+                             BatchProfile* profile, StageCostMemo* memo) {
   PARFFT_CHECK(batch >= 1, "batch must be positive");
-  std::vector<int> group = group_in;
-  if (group.empty()) {
-    group.resize(static_cast<std::size_t>(plan.nranks));
-    for (int r = 0; r < plan.nranks; ++r)
-      group[static_cast<std::size_t>(r)] = r;
-  }
+  const std::vector<int> group =
+      group_in.empty() ? identity_group(plan.nranks) : group_in;
   PARFFT_CHECK(static_cast<int>(group.size()) == plan.nranks,
                "group size must match the plan's rank count");
+  StageCostMemo local;
+  StageCostMemo& costs = memo != nullptr ? *memo : local;
 
   // Per-stage costs for a chunk of b batch elements (max over ranks).
   // Reshape stages split into pack (GPU compute stream), exchange (network
@@ -362,32 +428,15 @@ double overlapped_batch_time(const StagePlan& plan,
     double comm = 0;  // exchange, network stream
     double post = 0;  // unpack, compute stream
   };
-  auto stage_cost = [&](const Stage& s, int b) {
+  auto stage_cost = [&](std::size_t i, int b) {
+    const Stage& s = plan.stages[i];
     StageCost c;
     if (s.kind == Stage::Kind::Reshape) {
-      const net::PhaseTimes phase = cost.exchange(
-          group, s.reshape.send_matrix(b), to_alg(plan.options.backend),
-          mode, flavor);
-      c.comm = phase.total;
-      for (int r = 0; r < plan.nranks; ++r) {
-        double p = 0, u = 0;
-        for (const Transfer& tr : s.reshape.sends(r))
-          p += gpu::pack_region_cost(
-              device,
-              static_cast<double>(tr.region.count() * b) * sizeof(cplx),
-              pack_contiguous_run(s.reshape.from()[static_cast<std::size_t>(r)],
-                                  tr.region));
-        if (!s.reshape.sends(r).empty()) p += device.kernel_launch;
-        for (const Transfer& tr : s.reshape.recvs(r))
-          u += gpu::pack_region_cost(
-              device,
-              static_cast<double>(tr.region.count() * b) * sizeof(cplx),
-              pack_contiguous_run(s.reshape.to()[static_cast<std::size_t>(r)],
-                                  tr.region));
-        if (!s.reshape.recvs(r).empty()) u += device.kernel_launch;
-        c.pre = std::max(c.pre, p);
-        c.post = std::max(c.post, u);
-      }
+      const ReshapeCost& rc =
+          costs.reshape(plan, i, b, device, cost, mode, flavor, group);
+      c.pre = rc.max_pack;
+      c.comm = rc.phase.total;
+      c.post = rc.max_unpack;
     } else {
       for (int axis : s.axes) {
         double mx = 0;
@@ -425,9 +474,9 @@ double overlapped_batch_time(const StagePlan& plan,
     gpu::StreamTimeline compute, comm;
     for (int c = 0; c < chunks; ++c) {
       double ready = 0;  // completion of this chunk's previous stage
-      for (const Stage& s : plan.stages) {
+      for (std::size_t i = 0; i < plan.stages.size(); ++i) {
         const StageCost sc =
-            stage_cost(s, out.chunk_batch[static_cast<std::size_t>(c)]);
+            stage_cost(i, out.chunk_batch[static_cast<std::size_t>(c)]);
         if (sc.pre > 0) ready = compute.submit(ready, sc.pre);
         if (sc.comm > 0) ready = comm.submit(ready, sc.comm);
         if (sc.post > 0) ready = compute.submit(ready, sc.post);
@@ -476,10 +525,9 @@ SimReport simulate(const SimConfig& cfg) {
   report.reshapes_per_transform = plan.reshape_count();
 
   if (plan.options.batch > 1 && plan.options.overlap_batches) {
-    const double t = overlapped_batch_time(
-        plan, c.device, cost,
-        c.gpu_aware ? net::TransferMode::GpuAware : net::TransferMode::Staged,
-        c.flavor, plan.options.batch);
+    const double t =
+        overlapped_batch_time(plan, c.device, cost, transfer_mode(c),
+                              c.flavor, plan.options.batch);
     report.total = t * c.repeats;
     report.per_transform = t / plan.options.batch;
     report.rank_times.assign(static_cast<std::size_t>(c.nranks),
@@ -497,7 +545,8 @@ SimReport simulate(const SimConfig& cfg) {
           "x" + std::to_string(c.n[2]) + " " + std::to_string(c.nranks) +
           " ranks",
       c.nranks, c.options.trace);
-  StageRunner runner(c, plan, cost, report, caches, clocks, run);
+  StageCostMemo memo;
+  StageRunner runner(c, plan, cost, memo, report, caches, clocks, run);
   for (int rep = 0; rep < c.repeats; ++rep) runner.run_transform();
 
   report.rank_times = clocks;
@@ -545,26 +594,30 @@ double Simulator::run_once(int batch, bool cold) {
   std::vector<double> clocks(static_cast<std::size_t>(cfg_.nranks), 0.0);
   std::vector<gpu::PlanCache> caches(
       cold ? static_cast<std::size_t>(cfg_.nranks) : 0);
-  StageRunner runner(c, p, cost_, scratch, caches, clocks, nullptr);
+  StageRunner runner(c, p, cost_, stage_costs_, scratch, caches, clocks,
+                     nullptr);
   runner.run_transform();
   return *std::max_element(clocks.begin(), clocks.end());
 }
 
+const Simulator::Schedule& Simulator::schedule(int batch) {
+  const std::pair<double, int> key{nic_scale(), batch};
+  if (auto it = schedules_.find(key); it != schedules_.end())
+    return it->second;
+  Schedule s;
+  s.total = overlapped_batch_time(plan_, cfg_.device, cost_,
+                                  transfer_mode(cfg_), cfg_.flavor, batch,
+                                  {}, &s.profile, &stage_costs_);
+  return schedules_.emplace(key, std::move(s)).first->second;
+}
+
 double Simulator::transform_time(int batch, bool cold) {
   PARFFT_CHECK(batch >= 1, "batch must be positive");
-  const std::pair<int, bool> key{batch, cold};
-  if (auto it = memo_.find(key); it != memo_.end()) return it->second;
-  double t;
-  if (batch > 1 && cfg_.options.overlap_batches) {
-    t = overlapped_batch_time(
-        plan_, cfg_.device, cost_,
-        cfg_.gpu_aware ? net::TransferMode::GpuAware
-                       : net::TransferMode::Staged,
-        cfg_.flavor, batch);
-  } else {
-    t = run_once(batch, cold);
-  }
-  memo_.emplace(key, t);
+  if (overlapped(batch)) return schedule(batch).total;
+  const std::tuple<double, int, bool> key{nic_scale(), batch, cold};
+  if (auto it = times_.find(key); it != times_.end()) return it->second;
+  const double t = run_once(batch, cold);
+  times_.emplace(key, t);
   return t;
 }
 
@@ -574,28 +627,16 @@ double Simulator::plan_setup_time() {
 
 BatchProfile Simulator::batch_profile(int batch) {
   PARFFT_CHECK(batch >= 1, "batch must be positive");
-  if (auto it = profile_memo_.find(batch); it != profile_memo_.end())
-    return it->second;
+  if (overlapped(batch)) return schedule(batch).profile;
+  // Single-chunk execution: nothing leaves the device until the end.
   BatchProfile profile;
-  if (batch > 1 && cfg_.options.overlap_batches) {
-    overlapped_batch_time(plan_, cfg_.device, cost_,
-                          cfg_.gpu_aware ? net::TransferMode::GpuAware
-                                         : net::TransferMode::Staged,
-                          cfg_.flavor, batch, {}, &profile);
-  } else {
-    // Single-chunk execution: nothing leaves the device until the end.
-    profile.elems = {batch};
-    profile.frac = {1.0};
-  }
-  profile_memo_.emplace(batch, profile);
+  profile.elems = {batch};
+  profile.frac = {1.0};
   return profile;
 }
 
 void Simulator::set_nic_scale(double scale) {
-  if (scale == cost_.flowsim().nic_scale()) return;
   cost_.flowsim().set_nic_scale(scale);
-  memo_.clear();
-  profile_memo_.clear();
 }
 
 std::string csv_escape(const std::string& field) {

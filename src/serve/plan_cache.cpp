@@ -8,15 +8,11 @@
 namespace parfft::serve {
 
 double ServedPlan::exec_time(int batch, double nic_scale) {
-  const std::pair<int, double> key{batch, nic_scale};
-  if (auto it = exec_memo_.find(key); it != exec_memo_.end())
-    return it->second;
   // `nic_scale` is a stored FaultPlan sentinel compared untouched, so
   // equality against healthy (1.0) is exact by construction.
   if (nic_scale != 1.0) sim_.set_nic_scale(nic_scale);  // parfft-lint: allow(float-eq)
   const double t = sim_.transform_time(batch);
   if (nic_scale != 1.0) sim_.set_nic_scale(1.0);  // parfft-lint: allow(float-eq)
-  exec_memo_.emplace(key, t);
   return t;
 }
 

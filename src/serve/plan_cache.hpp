@@ -18,15 +18,15 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "serve/request.hpp"
 
 namespace parfft::serve {
 
-/// A resident plan: the reusable simulation handle of one shape plus
-/// memoized batched execution costs.
+/// A resident plan: the reusable simulation handle of one shape. The
+/// handle memoizes every pricing (per batch and nic scale), so its
+/// memos live exactly as long as the resident plan.
 class ServedPlan {
  public:
   ServedPlan(JobShape shape, const ClusterConfig& cluster)
@@ -37,9 +37,9 @@ class ServedPlan {
   /// Virtual time of executing `batch` coalesced requests as one batched
   /// transform with warm device plans (core's batch + overlap pipeline).
   /// `nic_scale` < 1 reprices every exchange against a degraded fabric
-  /// (FlowSim link state scaled; see FaultPlan::DegradeWindow); memoized
-  /// per (batch, scale), and the simulator is always restored to healthy
-  /// links afterwards.
+  /// (FlowSim link state scaled; see FaultPlan::DegradeWindow). The
+  /// simulator memoizes per (batch, scale) and is always restored to
+  /// healthy links afterwards.
   double exec_time(int batch, double nic_scale = 1.0);
 
   /// One-time spike charged when the plan is created (cache miss): the
@@ -57,7 +57,6 @@ class ServedPlan {
  private:
   JobShape shape_;
   core::Simulator sim_;
-  std::map<std::pair<int, double>, double> exec_memo_;
   double setup_ = -1;
 };
 

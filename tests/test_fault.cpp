@@ -222,7 +222,8 @@ TEST(DegradedFabric, NicScaleSlowsExchangesAndRestores) {
   sim.set_nic_scale(1.0);
   EXPECT_EQ(sim.transform_time(1), healthy) << "restoring links restores cost";
 
-  // ServedPlan memoizes per (batch, scale) and always restores the links.
+  // ServedPlan prices through the simulator's per-scale memos and always
+  // restores the links, so healthy and degraded answers both come back.
   ServedPlan plan(cube(64), test_cluster());
   const double h = plan.exec_time(4);
   const double d = plan.exec_time(4, 0.5);

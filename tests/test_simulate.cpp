@@ -4,6 +4,9 @@
 // configurations.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "common/random.hpp"
 #include "core/grids.hpp"
 #include "core/pack.hpp"
@@ -249,6 +252,115 @@ TEST(Simulate, SimulatorMatchesSimulateAndMemoizes) {
   EXPECT_DOUBLE_EQ(sim.transform_time(1), sim.transform_time(1));
   EXPECT_GT(sim.plan_setup_time(), 0)
       << "cold first transform must pay Fig. 10's plan-setup spike";
+}
+
+// The stage-cost memo reuses exact solves, so a long-lived Simulator must
+// answer every question bit-for-bit like a fresh one, whatever it priced
+// before and at whichever nic scale.
+TEST(Simulate, MemoizedPricingMatchesFreshSimulatorBitwise) {
+  struct Query {
+    int batch;
+    bool cold;
+    bool profile;  // batch_profile() instead of transform_time()
+  };
+  std::vector<Query> queries;
+  for (int b = 1; b <= 8; ++b) {
+    queries.push_back({b, false, false});
+    queries.push_back({b, true, false});
+    queries.push_back({b, false, true});
+  }
+  Rng rng(20260517);
+  for (Backend backend : {Backend::Alltoallv, Backend::Alltoall,
+                          Backend::Alltoallw, Backend::P2PNonBlocking}) {
+    for (bool gpu_aware : {true, false}) {
+      SimConfig cfg = base_config(12, {64, 64, 64});
+      cfg.options.backend = backend;
+      cfg.gpu_aware = gpu_aware;
+      Simulator shared(cfg);
+      for (double scale : {1.0, 0.5, 1.0}) {
+        std::shuffle(queries.begin(), queries.end(), rng.engine());
+        shared.set_nic_scale(scale);
+        for (const Query& q : queries) {
+          Simulator fresh(cfg);
+          fresh.set_nic_scale(scale);
+          const std::string what =
+              std::string(backend_name(backend)) +
+              (gpu_aware ? " gpu-aware" : " staged") + " b=" +
+              std::to_string(q.batch) + (q.cold ? " cold" : " warm") +
+              " scale=" + std::to_string(scale);
+          if (q.profile) {
+            const BatchProfile got = shared.batch_profile(q.batch);
+            const BatchProfile want = fresh.batch_profile(q.batch);
+            EXPECT_EQ(got.elems, want.elems) << what;
+            EXPECT_EQ(got.frac, want.frac) << what;
+          } else {
+            EXPECT_EQ(shared.transform_time(q.batch, q.cold),
+                      fresh.transform_time(q.batch, q.cold))
+                << what;
+          }
+        }
+      }
+      const PricingCounters& c = shared.counters();
+      EXPECT_EQ(c.stage_hits + c.stage_misses, c.stage_lookups);
+      EXPECT_EQ(c.exchange_solves, c.stage_misses);
+    }
+  }
+}
+
+TEST(Simulate, PricingSolvesEachExchangeOncePerBatchAndScale) {
+  // b = 1..8 at two scales: the sequential b=1 pass and every chunk of
+  // every overlapped candidate draw from one memo, so each reshape is
+  // solved once per distinct chunk batch (1..8) per scale.
+  Simulator sim(base_config(12, {64, 64, 64}));
+  const auto reshapes =
+      static_cast<std::uint64_t>(sim.plan().reshape_count());
+  ASSERT_EQ(reshapes, 4u);
+  for (double scale : {1.0, 0.5}) {
+    sim.set_nic_scale(scale);
+    for (int b = 1; b <= 8; ++b) sim.transform_time(b);
+  }
+  const PricingCounters first = sim.counters();
+  EXPECT_EQ(first.exchange_solves, reshapes * 8 * 2);
+  EXPECT_GT(first.stage_hits, first.stage_misses);
+
+  // Everything asked again -- both scales, cold b=1 included, profiles
+  // too -- is answered without a single new solve.
+  for (double scale : {0.5, 1.0}) {
+    sim.set_nic_scale(scale);
+    for (int b = 1; b <= 8; ++b) {
+      sim.transform_time(b);
+      sim.batch_profile(b);
+    }
+    sim.plan_setup_time();
+  }
+  EXPECT_EQ(sim.counters().exchange_solves, first.exchange_solves);
+  EXPECT_EQ(sim.counters().stage_hits + sim.counters().stage_misses,
+            sim.counters().stage_lookups);
+}
+
+TEST(Simulate, OverlappedBatchTimeReusesACallersMemo) {
+  // A caller-owned memo carries solves from one call to the next and
+  // prices exactly like the memo local to a call.
+  SimConfig cfg = base_config(12, {64, 64, 64});
+  cfg.options.backend = Backend::P2PNonBlocking;
+  const Simulator sim(cfg);
+  const net::RankMap map{cfg.machine.gpus_per_node};
+  const net::CommCost cost(cfg.machine, map, cfg.nranks);
+  const auto price = [&](int batch, StageCostMemo* memo) {
+    return overlapped_batch_time(sim.plan(), cfg.device, cost,
+                                 net::TransferMode::GpuAware, cfg.flavor,
+                                 batch, {}, nullptr, memo);
+  };
+  StageCostMemo memo;
+  const double t6 = price(6, &memo);
+  // Chunk batches of b=6 over 1..6 chunks: {6, 3, 2, 1} per reshape.
+  EXPECT_EQ(memo.counters().exchange_solves, 4u * 4);
+  // b=3 chunks into {3, 2, 1}: all already solved.
+  const double t3 = price(3, &memo);
+  EXPECT_EQ(memo.counters().exchange_solves, 4u * 4);
+  EXPECT_EQ(t6, price(6, nullptr));
+  EXPECT_EQ(t3, price(3, nullptr));
+  memo.check_invariants();
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 ///
 /// Usage:
 ///   perfdiff <baseline.json> <current.json> [--tol=0.05] [--only=a,b]
+///            [--skip=a,b]
 ///
 /// Every metric carries a "dir" tag saying which direction is better;
 /// a move the *wrong* way by more than the relative tolerance is a
@@ -13,7 +14,11 @@
 /// virtual-time metrics'). --only=name,name restricts the comparison to
 /// the named metrics -- the smoke path checks a partial run against the
 /// full committed baseline without every absent metric counting as
-/// deleted. Metrics missing from the current file are regressions
+/// deleted. --skip=name,name is its mirror: the named metrics are
+/// neither compared nor reported, even when the current file lacks them
+/// -- tier-1 skips the wall-clock rows a loaded test machine cannot
+/// reproduce, while a dedicated job still gates them with --only.
+/// Metrics missing from the current file are regressions
 /// (a deleted guard is a silent regression); new metrics are reported
 /// but never fail. Exit codes: 0 ok, 1 regression, 2 usage/parse error.
 
@@ -26,6 +31,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "mini_json.hpp"
@@ -73,51 +79,58 @@ bool load_metrics(const char* path, std::map<std::string, Metric>& out) {
   return true;
 }
 
+/// Adds the comma-separated names in `list` to `out`.
+void add_names(const std::string& list, std::set<std::string>& out) {
+  std::size_t pos = 0;
+  while (pos <= list.size()) {
+    const std::size_t comma = list.find(',', pos);
+    const std::string name =
+        list.substr(pos, comma == std::string::npos ? comma : comma - pos);
+    if (!name.empty()) out.insert(name);
+    if (comma == std::string::npos) break;
+    pos = comma + 1;
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   double tol = 0.05;
-  std::set<std::string> only;
+  std::set<std::string> only, skip;
   std::vector<const char*> files;
+  const char* usage =
+      "usage: perfdiff <baseline.json> <current.json> [--tol=0.05] "
+      "[--only=metric,metric] [--skip=metric,metric]\n";
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--tol=", 6) == 0) {
       tol = std::strtod(argv[i] + 6, nullptr);
     } else if (std::strncmp(argv[i], "--only=", 7) == 0) {
-      std::string list(argv[i] + 7);
-      std::size_t pos = 0;
-      while (pos <= list.size()) {
-        const std::size_t comma = list.find(',', pos);
-        const std::string name =
-            list.substr(pos, comma == std::string::npos ? comma : comma - pos);
-        if (!name.empty()) only.insert(name);
-        if (comma == std::string::npos) break;
-        pos = comma + 1;
-      }
+      add_names(argv[i] + 7, only);
+    } else if (std::strncmp(argv[i], "--skip=", 7) == 0) {
+      add_names(argv[i] + 7, skip);
     } else if (std::strcmp(argv[i], "--help") == 0) {
-      std::printf("usage: perfdiff <baseline.json> <current.json> "
-                  "[--tol=0.05] [--only=metric,metric]\n");
+      std::printf("%s", usage);
       return 0;
     } else {
       files.push_back(argv[i]);
     }
   }
   if (files.size() != 2 || tol < 0) {
-    std::fprintf(stderr,
-                 "usage: perfdiff <baseline.json> <current.json> "
-                 "[--tol=0.05] [--only=metric,metric]\n");
+    std::fprintf(stderr, "%s", usage);
     return 2;
   }
 
   std::map<std::string, Metric> base, cur;
   if (!load_metrics(files[0], base) || !load_metrics(files[1], cur)) return 2;
-  if (!only.empty()) {
-    for (const std::string& name : only)
+  // A misspelt name would silently select (or skip) nothing.
+  for (const auto& [flag, names] : {std::pair{"--only", &only},
+                                    std::pair{"--skip", &skip}})
+    for (const std::string& name : *names)
       if (base.find(name) == base.end()) {
-        std::fprintf(stderr, "perfdiff: --only metric %s not in baseline\n",
-                     name.c_str());
+        std::fprintf(stderr, "perfdiff: %s metric %s not in baseline\n",
+                     flag, name.c_str());
         return 2;
       }
-  }
 
   int regressions = 0, improvements = 0;
   std::size_t name_w = 6;
@@ -126,6 +139,7 @@ int main(int argc, char** argv) {
               "metric", "baseline", "current", "delta");
   for (const auto& [name, b] : base) {
     if (!only.empty() && only.find(name) == only.end()) continue;
+    if (skip.count(name) != 0) continue;
     const auto it = cur.find(name);
     if (it == cur.end()) {
       std::printf("%-*s %14.6g %14s %9s  REGRESSION (missing)\n",
@@ -157,7 +171,8 @@ int main(int argc, char** argv) {
         std::printf("%-*s %14s %14.6g %9s  new\n", static_cast<int>(name_w),
                     name.c_str(), "-", c.v, "-");
 
-  std::printf("\n%d regression(s), %d improvement(s), tolerance %.1f%%\n",
-              regressions, improvements, 100 * tol);
+  std::printf("\n%d regression(s), %d improvement(s), %zu skipped, "
+              "tolerance %.1f%%\n",
+              regressions, improvements, skip.size(), 100 * tol);
   return regressions > 0 ? 1 : 0;
 }
