@@ -54,7 +54,7 @@ void BM_ReshapePlanCreate(benchmark::State& state) {
     benchmark::DoNotOptimize(&plan);
   }
 }
-BENCHMARK(BM_ReshapePlanCreate)->Arg(24)->Arg(192)->Arg(768);
+BENCHMARK(BM_ReshapePlanCreate)->Arg(24)->Arg(192)->Arg(768)->Arg(3072);
 
 }  // namespace
 

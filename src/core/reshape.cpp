@@ -1,8 +1,117 @@
 #include "core/reshape.hpp"
 
+#include <algorithm>
+#include <array>
+#include <cstddef>
+#include <utility>
+
 #include "common/error.hpp"
 
 namespace parfft::core {
+
+namespace {
+
+/// Index of a box layout: the distinct box edges along each axis cut space
+/// into a grid of cells, and every cell lists (ascending) the boxes that
+/// touch it. Two boxes can only overlap if they share a cell, so a query
+/// visits the boxes near it rather than all of them. When the edges would
+/// make more than O(boxes) cells (arbitrary, non-tiling layouts), every
+/// other edge of the finest axis is dropped until they do not; coarser
+/// cells only add candidates, never lose one.
+class BoxIndex {
+ public:
+  explicit BoxIndex(const std::vector<Box3>& boxes)
+      : seen_(boxes.size(), 0) {
+    for (std::size_t a = 0; a < 3; ++a) {
+      for (const Box3& b : boxes) {
+        if (b.empty()) continue;
+        edges_[a].push_back(b.lo[a]);
+        edges_[a].push_back(b.hi[a] + 1);
+      }
+      std::sort(edges_[a].begin(), edges_[a].end());
+      edges_[a].erase(std::unique(edges_[a].begin(), edges_[a].end()),
+                      edges_[a].end());
+    }
+    if (edges_[0].empty()) return;  // every box is empty
+
+    const std::size_t budget = std::max<std::size_t>(64, 4 * boxes.size());
+    while (cells(0) * cells(1) * cells(2) > budget) {
+      std::size_t a = 0;
+      for (std::size_t b = 1; b < 3; ++b)
+        if (cells(b) > cells(a)) a = b;
+      std::vector<idx_t>& e = edges_[a];
+      std::vector<idx_t> kept;
+      kept.reserve(e.size() / 2 + 2);
+      for (std::size_t i = 0; i < e.size(); i += 2) kept.push_back(e[i]);
+      if (kept.back() != e.back()) kept.push_back(e.back());
+      e = std::move(kept);
+    }
+
+    // Cell lists in CSR form, filled in ascending box order.
+    start_.assign(cells(0) * cells(1) * cells(2) + 1, 0);
+    for (const Box3& b : boxes)
+      for_each_cell(b, [&](std::size_t c) { ++start_[c + 1]; });
+    for (std::size_t c = 1; c < start_.size(); ++c) start_[c] += start_[c - 1];
+    items_.resize(start_.back());
+    std::vector<std::size_t> fill(start_.begin(), start_.end() - 1);
+    for (std::size_t i = 0; i < boxes.size(); ++i)
+      for_each_cell(boxes[i],
+                    [&](std::size_t c) { items_[fill[c]++] = static_cast<int>(i); });
+  }
+
+  /// Every indexed box that shares a cell with `b`, ascending and without
+  /// repeats; valid until the next call.
+  const std::vector<int>& candidates(const Box3& b) {
+    near_.clear();
+    if (start_.empty()) return near_;
+    ++query_;
+    for_each_cell(b, [&](std::size_t c) {
+      for (std::size_t k = start_[c]; k < start_[c + 1]; ++k) {
+        const auto d = static_cast<std::size_t>(items_[k]);
+        if (seen_[d] == query_) continue;
+        seen_[d] = query_;
+        near_.push_back(items_[k]);
+      }
+    });
+    std::sort(near_.begin(), near_.end());
+    return near_;
+  }
+
+ private:
+  std::size_t cells(std::size_t a) const { return edges_[a].size() - 1; }
+
+  /// Calls `f(cell)` for every cell the non-empty box `b` touches.
+  template <class F>
+  void for_each_cell(const Box3& b, F&& f) const {
+    if (b.empty()) return;
+    std::array<std::size_t, 3> lo{}, hi{};
+    for (std::size_t a = 0; a < 3; ++a) {
+      // Cell m spans [e[m], e[m+1]); the box spans [lo, hi + 1).
+      const std::vector<idx_t>& e = edges_[a];
+      const auto first =
+          std::upper_bound(e.begin(), e.end(), b.lo[a]) - e.begin();
+      const auto last =
+          std::lower_bound(e.begin(), e.end(), b.hi[a] + 1) - e.begin();
+      if (last < 1 || first > static_cast<std::ptrdiff_t>(cells(a))) return;
+      lo[a] = first > 0 ? static_cast<std::size_t>(first - 1) : 0;
+      hi[a] = std::min(static_cast<std::size_t>(last - 1), cells(a) - 1);
+    }
+    for (std::size_t i = lo[0]; i <= hi[0]; ++i)
+      for (std::size_t j = lo[1]; j <= hi[1]; ++j)
+        for (std::size_t k = lo[2]; k <= hi[2]; ++k)
+          f((i * cells(1) + j) * cells(2) + k);
+  }
+
+  std::array<std::vector<idx_t>, 3> edges_;
+  std::vector<std::size_t> start_;
+  std::vector<int> items_;
+  // Query scratch: seen_[d] == query_ once box d is in near_.
+  std::vector<std::size_t> seen_;
+  std::size_t query_ = 0;
+  std::vector<int> near_;
+};
+
+}  // namespace
 
 ReshapePlan ReshapePlan::create(std::vector<Box3> from, std::vector<Box3> to) {
   PARFFT_CHECK(from.size() == to.size(),
@@ -11,17 +120,23 @@ ReshapePlan ReshapePlan::create(std::vector<Box3> from, std::vector<Box3> to) {
   ReshapePlan plan;
   plan.from_ = std::move(from);
   plan.to_ = std::move(to);
-  const int R = plan.nranks();
-  plan.sends_.resize(static_cast<std::size_t>(R));
-  plan.recvs_.resize(static_cast<std::size_t>(R));
-  for (int s = 0; s < R; ++s) {
-    const Box3& fb = plan.from_[static_cast<std::size_t>(s)];
-    if (fb.empty()) continue;
-    for (int d = 0; d < R; ++d) {
+  const auto R = static_cast<std::size_t>(plan.nranks());
+  plan.sends_.resize(R);
+  plan.recvs_.resize(R);
+
+  // Each source box is intersected only with the destination boxes it can
+  // overlap, in ascending destination order.
+  BoxIndex index(plan.to_);
+  for (std::size_t s = 0; s < R; ++s) {
+    const Box3& fb = plan.from_[s];
+    const std::vector<int>& near = index.candidates(fb);
+    plan.sends_[s].reserve(near.size());
+    for (int d : near) {
       const Box3 ov = intersect(fb, plan.to_[static_cast<std::size_t>(d)]);
       if (ov.empty()) continue;
-      plan.sends_[static_cast<std::size_t>(s)].push_back({d, ov});
-      plan.recvs_[static_cast<std::size_t>(d)].push_back({s, ov});
+      plan.sends_[s].push_back({d, ov});
+      plan.recvs_[static_cast<std::size_t>(d)].push_back(
+          {static_cast<int>(s), ov});
     }
   }
   return plan;
@@ -46,11 +161,14 @@ bool ReshapePlan::is_identity() const {
 
 net::SendMatrix ReshapePlan::send_matrix(int batch) const {
   net::SendMatrix m(static_cast<std::size_t>(nranks()));
-  for (int r = 0; r < nranks(); ++r)
+  for (int r = 0; r < nranks(); ++r) {
+    m[static_cast<std::size_t>(r)].reserve(
+        sends_[static_cast<std::size_t>(r)].size());
     for (const Transfer& t : sends_[static_cast<std::size_t>(r)])
       m[static_cast<std::size_t>(r)].push_back(
           {t.peer, static_cast<double>(t.region.count()) * batch *
                        static_cast<double>(sizeof(cplx))});
+  }
   return m;
 }
 

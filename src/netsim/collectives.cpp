@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 
 #include "common/error.hpp"
 
@@ -54,28 +53,44 @@ PhaseTimes CommCost::pairwise_rounds(const std::vector<int>& group,
   PARFFT_CHECK(static_cast<int>(sends.size()) == G,
                "send matrix does not match group size");
   const MachineSpec& m = sim_.spec();
+  const auto UG = static_cast<std::size_t>(G);
 
-  // Dense byte lookup within the group.
-  std::vector<std::vector<double>> bytes(
-      static_cast<std::size_t>(G), std::vector<double>(static_cast<std::size_t>(G), 0.0));
+  // Each row's bytes by destination, ascending, repeated destinations
+  // summed in the order they are listed. The padded block is the largest
+  // of those running sums.
+  SendMatrix rows(UG);
   double max_block = 0;
-  for (int i = 0; i < G; ++i)
-    for (const auto& [j, b] : sends[static_cast<std::size_t>(i)]) {
+  for (std::size_t i = 0; i < UG; ++i) {
+    auto& row = rows[i];
+    row = sends[i];
+    for (const auto& [j, b] : row)
       PARFFT_CHECK(j >= 0 && j < G, "send destination outside group");
-      bytes[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)] += b;
-      max_block = std::max(max_block, bytes[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)]);
+    std::stable_sort(row.begin(), row.end(), [](const auto& x, const auto& y) {
+      return x.first < y.first;
+    });
+    std::size_t n = 0;
+    for (std::size_t k = 0; k < row.size(); ++k) {
+      const auto [j, b] = row[k];
+      if (n == 0 || row[n - 1].first != j) row[n++] = {j, 0.0};
+      row[n - 1].second += b;
+      max_block = std::max(max_block, row[n - 1].second);
     }
+    row.resize(n);
+  }
 
   // MPI_Alltoall padding scope: heFFTe builds a sub-communicator per set
   // of ranks that actually exchange data, so blocks are padded to the
   // maximum within each connected component of the traffic graph, and no
-  // padded traffic flows between components.
-  std::vector<int> comp(static_cast<std::size_t>(G));
+  // padded traffic flows between components. Members of component c are
+  // member[member_start[c] .. member_start[c + 1]), ascending.
+  std::vector<int> comp(UG);
   std::vector<double> comp_max;
+  std::vector<std::size_t> member_start;
+  std::vector<int> member;
   if (padded) {
-    std::vector<int> parent(static_cast<std::size_t>(G));
+    std::vector<int> parent(UG);
     for (int i = 0; i < G; ++i) parent[static_cast<std::size_t>(i)] = i;
-    std::function<int(int)> find = [&](int x) {
+    auto find = [&parent](int x) {
       while (parent[static_cast<std::size_t>(x)] != x) {
         parent[static_cast<std::size_t>(x)] =
             parent[static_cast<std::size_t>(parent[static_cast<std::size_t>(x)])];
@@ -84,38 +99,39 @@ PhaseTimes CommCost::pairwise_rounds(const std::vector<int>& group,
       return x;
     };
     for (int i = 0; i < G; ++i)
-      for (int j = 0; j < G; ++j)
-        if (bytes[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)] > 0)
-          parent[static_cast<std::size_t>(find(i))] = find(j);
-    comp_max.assign(static_cast<std::size_t>(G), 0.0);
+      for (const auto& [j, b] : rows[static_cast<std::size_t>(i)])
+        if (b > 0) parent[static_cast<std::size_t>(find(i))] = find(j);
+    comp_max.assign(UG, 0.0);
+    member_start.assign(UG + 1, 0);
     for (int i = 0; i < G; ++i) {
-      comp[static_cast<std::size_t>(i)] = find(i);
-      for (int j = 0; j < G; ++j)
-        comp_max[static_cast<std::size_t>(find(i))] = std::max(
-            comp_max[static_cast<std::size_t>(find(i))],
-            bytes[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)]);
+      const auto c = static_cast<std::size_t>(find(i));
+      comp[static_cast<std::size_t>(i)] = static_cast<int>(c);
+      ++member_start[c + 1];
+      for (const auto& [j, b] : rows[static_cast<std::size_t>(i)])
+        comp_max[c] = std::max(comp_max[c], b);
     }
+    for (std::size_t c = 0; c < UG; ++c) member_start[c + 1] += member_start[c];
+    member.resize(UG);
+    std::vector<std::size_t> fill(member_start.begin(), member_start.end() - 1);
+    for (int i = 0; i < G; ++i)
+      member[fill[static_cast<std::size_t>(comp[static_cast<std::size_t>(i)])]++] = i;
   }
-  auto padded_bytes = [&](int i, int j) {
-    if (comp[static_cast<std::size_t>(i)] != comp[static_cast<std::size_t>(j)])
-      return 0.0;
-    return comp_max[static_cast<std::size_t>(comp[static_cast<std::size_t>(i)])];
+  auto comp_size = [&](int c) {
+    return static_cast<int>(member_start[static_cast<std::size_t>(c) + 1] -
+                            member_start[static_cast<std::size_t>(c)]);
   };
 
   PhaseTimes out;
-  out.per_rank.assign(static_cast<std::size_t>(G), 0.0);
+  out.per_rank.assign(UG, 0.0);
   out.max_block = padded ? max_block : 0.0;
 
   // Small-block MPI_Alltoall: Bruck's algorithm (ceil(log2 Gc) rounds of
   // half-group payloads plus local shuffles) replaces the (Gc-1)-message
   // exchange, as tuned MPI implementations do below a size threshold.
   if (padded && max_block > 0 && max_block <= m.bruck_threshold) {
-    std::vector<int> comp_size(static_cast<std::size_t>(G), 0);
-    for (int j = 0; j < G; ++j)
-      ++comp_size[static_cast<std::size_t>(comp[static_cast<std::size_t>(j)])];
     for (int i = 0; i < G; ++i) {
       const int ci = comp[static_cast<std::size_t>(i)];
-      const int gc = comp_size[static_cast<std::size_t>(ci)];
+      const int gc = comp_size(ci);
       if (gc <= 1) continue;
       const double b = comp_max[static_cast<std::size_t>(ci)];
       const double rounds = std::ceil(std::log2(static_cast<double>(gc)));
@@ -139,35 +155,68 @@ PhaseTimes CommCost::pairwise_rounds(const std::vector<int>& group,
   // per-peer cost of one message handshake per round:
   //   per-rank time ~ fluid(all its traffic) + sum_peers (L + o(bytes)).
   // This reduces to the paper's eq. (2)/(3) shapes for balanced phases.
-  std::vector<Flow> flows;
-  std::vector<int> src_pos, dst_pos;
-  std::vector<double> fixed(static_cast<std::size_t>(G), 0.0);
+  // Padded, position i sends a block to every member of its component;
+  // unpadded, one message per nonzero entry of its row.
+  std::size_t nflows = 0;
   for (int i = 0; i < G; ++i) {
-    for (int j = 0; j < G; ++j) {
-      const double b =
-          padded ? padded_bytes(i, j)
-                 : bytes[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)];
-      if (b <= 0) continue;
-      flows.push_back({group[static_cast<std::size_t>(i)],
-                       group[static_cast<std::size_t>(j)], b, 0, 0, 0});
-      src_pos.push_back(i);
-      dst_pos.push_back(j);
-      out.moved_bytes +=
-          bytes[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)];
-      if (i != j) {
-        const bool same = sim_.map().same_node(
-            group[static_cast<std::size_t>(i)], group[static_cast<std::size_t>(j)]);
-        fixed[static_cast<std::size_t>(i)] +=
-            m.latency(same) + per_message_overhead(mode, b);
+    if (padded) {
+      const int ci = comp[static_cast<std::size_t>(i)];
+      if (comp_max[static_cast<std::size_t>(ci)] > 0)
+        nflows += static_cast<std::size_t>(comp_size(ci));
+    } else {
+      for (const auto& [j, b] : rows[static_cast<std::size_t>(i)])
+        nflows += b > 0 ? 1 : 0;
+    }
+  }
+  std::vector<Flow> flows;
+  flows.reserve(nflows);
+  std::vector<int> node(UG);
+  for (std::size_t i = 0; i < UG; ++i) node[i] = sim_.map().node_of(group[i]);
+  std::vector<double> fixed(UG, 0.0);
+  for (int i = 0; i < G; ++i) {
+    const auto ui = static_cast<std::size_t>(i);
+    const auto& row = rows[ui];
+    if (!padded) {
+      for (const auto& [j, b] : row) {
+        if (b <= 0) continue;
+        const auto uj = static_cast<std::size_t>(j);
+        flows.push_back({group[ui], group[uj], b, 0, 0, 0});
+        out.moved_bytes += b;
+        if (i != j)
+          fixed[ui] += m.latency(node[ui] == node[uj]) +
+                       per_message_overhead(mode, b);
       }
+      continue;
+    }
+    const auto ci = static_cast<std::size_t>(comp[ui]);
+    const double b = comp_max[ci];
+    if (b <= 0) continue;
+    const double overhead = per_message_overhead(mode, b);
+    auto entry = row.begin();
+    for (std::size_t k = member_start[ci]; k < member_start[ci + 1]; ++k) {
+      const int j = member[k];
+      const auto uj = static_cast<std::size_t>(j);
+      flows.push_back({group[ui], group[uj], b, 0, 0, 0});
+      while (entry != row.end() && entry->first < j) ++entry;
+      if (entry != row.end() && entry->first == j)
+        out.moved_bytes += entry->second;
+      if (i != j) fixed[ui] += m.latency(node[ui] == node[uj]) + overhead;
     }
   }
   sim_.run(flows, mode, stats);
-  for (std::size_t f = 0; f < flows.size(); ++f) {
-    auto& s_ = out.per_rank[static_cast<std::size_t>(src_pos[f])];
-    s_ = std::max(s_, flows[f].finish);
-    auto& d_ = out.per_rank[static_cast<std::size_t>(dst_pos[f])];
-    d_ = std::max(d_, flows[f].finish);
+
+  // Group position of each world rank (run() has checked that every flow
+  // names ranks of this fabric).
+  const int world = sim_.nranks();
+  std::vector<std::size_t> pos(static_cast<std::size_t>(world), 0);
+  for (std::size_t i = 0; i < UG; ++i)
+    if (group[i] >= 0 && group[i] < world)
+      pos[static_cast<std::size_t>(group[i])] = i;
+  for (const Flow& f : flows) {
+    double& s_ = out.per_rank[pos[static_cast<std::size_t>(f.src)]];
+    s_ = std::max(s_, f.finish);
+    double& d_ = out.per_rank[pos[static_cast<std::size_t>(f.dst)]];
+    d_ = std::max(d_, f.finish);
   }
   for (int i = 0; i < G; ++i)
     out.per_rank[static_cast<std::size_t>(i)] +=

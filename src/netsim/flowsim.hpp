@@ -33,14 +33,18 @@ struct Flow {
 };
 
 /// Above this flow count a phase switches from exact progressive filling
-/// to the bottleneck-bound approximation (see flowsim.cpp).
+/// to a bottleneck estimate (see flowsim.cpp): exact for symmetric
+/// phases, otherwise neither an upper nor a lower bound on the exact
+/// solve.
 inline constexpr int kExactFlowLimit = 1024;
 
 /// Per-link utilization observed during one simulated phase -- the
 /// contention state that makes the paper's bandwidth collapse (Fig. 4)
 /// emerge, made visible. Only links that carried traffic are reported.
-/// In the exact progressive-filling regime every figure is exact; in the
-/// wide-phase approximation they are the bottleneck-bound estimates.
+/// In the exact progressive-filling regime every figure is exact. Above
+/// kExactFlowLimit only `bytes` is exact; the rates and times assume
+/// each link runs at its mean rate for the bottleneck-estimated phase
+/// duration.
 struct LinkStats {
   struct Link {
     std::string name;       ///< "dev_out/3", "nic_in/node0", "core", ...

@@ -3,7 +3,15 @@
 // models that differentiate the paper's MPI exchange families.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <string>
+#include <vector>
+
 #include "common/error.hpp"
+#include "common/random.hpp"
 #include "netsim/collectives.hpp"
 #include "netsim/flowsim.hpp"
 #include "netsim/machine.hpp"
@@ -325,6 +333,126 @@ TEST_F(CommCostTest, MovedBytesCountsPayload) {
   const auto p = cost.exchange(g, s, CollectiveAlg::Alltoallv,
                                TransferMode::GpuAware, MpiFlavor::SpectrumMPI);
   EXPECT_DOUBLE_EQ(p.moved_bytes, 6.0 * 5.0 * 1000.0);
+}
+
+/// FNV-1a over the bit patterns of exchange results.
+struct Fnv {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  void add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  }
+  void add(double v) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof bits);
+    add(bits);
+  }
+  void add(const std::string& s) {
+    for (char c : s) add(static_cast<std::uint64_t>(c));
+  }
+};
+
+/// A seeded send matrix over `G` group positions: each position joins one
+/// of `comps` traffic components or (one in eight) stays isolated, and
+/// sends `per_row` entries to members of its own component in random
+/// order -- self-sends, zero-byte entries and repeated destinations
+/// included -- of byte counts in [lo, hi). The counts are not whole
+/// numbers, so the order in which repeated destinations and payloads are
+/// summed shows in the results.
+SendMatrix random_sends(Rng& rng, int G, int comps, int per_row, double lo,
+                        double hi) {
+  std::vector<std::vector<int>> members(static_cast<std::size_t>(comps));
+  std::vector<int> comp(static_cast<std::size_t>(G), -1);
+  for (int i = 0; i < G; ++i) {
+    if (rng.uniform_int(0, 7) == 0) continue;
+    const auto c = static_cast<std::size_t>(rng.uniform_int(0, comps - 1));
+    comp[static_cast<std::size_t>(i)] = static_cast<int>(c);
+    members[c].push_back(i);
+  }
+  SendMatrix s(static_cast<std::size_t>(G));
+  for (int i = 0; i < G; ++i) {
+    const int c = comp[static_cast<std::size_t>(i)];
+    if (c < 0) continue;
+    const auto& peers = members[static_cast<std::size_t>(c)];
+    auto& row = s[static_cast<std::size_t>(i)];
+    for (int k = 0; k < per_row; ++k) {
+      const int j =
+          !row.empty() && rng.uniform_int(0, 5) == 0
+              ? row.back().first
+              : peers[static_cast<std::size_t>(rng.uniform_int(
+                    0, static_cast<std::int64_t>(peers.size()) - 1))];
+      const double b = rng.uniform_int(0, 6) == 0 ? 0.0 : rng.uniform(lo, hi);
+      row.push_back({j, b});
+    }
+  }
+  return s;
+}
+
+// The pairwise exchange's sparse bookkeeping and FlowSim's two regimes
+// must keep reproducing these exact results: digests of every output bit
+// pattern, recorded before the pairwise pricing stopped building a dense
+// G x G matrix and the wide path stopped keeping per-flow state.
+TEST(CommCost, PairwiseAndWidePhasesMatchRecordedResults) {
+  struct Case {
+    int G;
+    int comps;
+    int per_row;
+    double lo, hi;
+    const char* digest;
+  };
+  // Blocks at or below MachineSpec::bruck_threshold (4096 bytes) take
+  // Bruck's path when padded; the others reach FlowSim, on both sides of
+  // kExactFlowLimit.
+  const Case cases[] = {
+      {40, 3, 6, 16, 600, "f15d4f597f1d90df"},         // Bruck-sized
+      {48, 4, 5, 1e5, 4e6, "962f1e813b024a87"},        // exact both ways
+      {96, 2, 24, 1e5, 4e6, "c5d5ad6821dcaca6"},       // wide both ways
+      {120, 6, 12, 3e3, 9e4, "1cccfd7180d8ab95"},      // padded wide only
+  };
+  const MachineSpec m = summit();
+  const CommCost cost(m, RankMap{6}, 132);
+  Rng rng(15);
+  for (const Case& c : cases) {
+    // The group is a scattered subset of the world in shuffled order.
+    std::vector<int> world(132);
+    for (int r = 0; r < 132; ++r) world[static_cast<std::size_t>(r)] = r;
+    std::shuffle(world.begin(), world.end(), rng.engine());
+    const std::vector<int> group(world.begin(), world.begin() + c.G);
+    const SendMatrix sends = random_sends(rng, c.G, c.comps, c.per_row, c.lo,
+                                          c.hi);
+    Fnv fnv;
+    for (CollectiveAlg alg : {CollectiveAlg::Alltoall,
+                              CollectiveAlg::Alltoallv,
+                              CollectiveAlg::P2PNonBlocking})
+      for (TransferMode mode : {TransferMode::GpuAware, TransferMode::Staged,
+                                TransferMode::Host}) {
+        LinkStats stats;
+        const PhaseTimes p =
+            cost.exchange(group, sends, alg, mode, MpiFlavor::SpectrumMPI,
+                          &stats);
+        fnv.add(p.total);
+        for (double v : p.per_rank) fnv.add(v);
+        fnv.add(p.max_block);
+        fnv.add(p.moved_bytes);
+        fnv.add(stats.duration);
+        for (const LinkStats::Link& l : stats.links) {
+          fnv.add(l.name);
+          for (double v : {l.capacity, l.bytes, l.peak_rate, l.util_sum,
+                           l.busy_time, l.saturated_time})
+            fnv.add(v);
+          for (const auto& [t, rate] : l.samples) {
+            fnv.add(t);
+            fnv.add(rate);
+          }
+        }
+      }
+    char hex[17];
+    std::snprintf(hex, sizeof hex, "%016llx",
+                  static_cast<unsigned long long>(fnv.h));
+    EXPECT_STREQ(hex, c.digest) << "G=" << c.G << " comps=" << c.comps;
+  }
 }
 
 }  // namespace

@@ -3,7 +3,10 @@
 // global element is sent exactly once and received exactly once.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <string>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/random.hpp"
@@ -160,6 +163,84 @@ TEST(ReshapePlan, SendMatrixScalesWithBatch) {
   }
   // Off-rank bytes: each rank keeps half its 256 elements, ships half.
   EXPECT_DOUBLE_EQ(plan.send_bytes(0, 1), 128.0 * sizeof(cplx));
+}
+
+// create() only intersects each source box with the destination boxes it
+// can overlap; the result must be exactly what intersecting every pair
+// gives, in the same order, for any layout.
+void expect_matches_all_pairs(const std::vector<Box3>& from,
+                              const std::vector<Box3>& to,
+                              const std::string& what) {
+  const auto R = from.size();
+  std::vector<std::vector<Transfer>> sends(R), recvs(R);
+  for (std::size_t s = 0; s < R; ++s)
+    for (std::size_t d = 0; d < R; ++d)
+      if (const Box3 ov = intersect(from[s], to[d]); !ov.empty()) {
+        sends[s].push_back({static_cast<int>(d), ov});
+        recvs[d].push_back({static_cast<int>(s), ov});
+      }
+
+  const auto plan = ReshapePlan::create(from, to);
+  auto same = [&](const std::vector<Transfer>& got,
+                  const std::vector<Transfer>& want, const char* side,
+                  std::size_t r) {
+    ASSERT_EQ(got.size(), want.size()) << what << " " << side << " " << r;
+    for (std::size_t k = 0; k < got.size(); ++k) {
+      EXPECT_EQ(got[k].peer, want[k].peer) << what << " " << side << " " << r;
+      EXPECT_EQ(got[k].region, want[k].region)
+          << what << " " << side << " " << r;
+    }
+  };
+  for (std::size_t r = 0; r < R; ++r) {
+    same(plan.sends(static_cast<int>(r)), sends[r], "sends", r);
+    same(plan.recvs(static_cast<int>(r)), recvs[r], "recvs", r);
+  }
+}
+
+TEST(ReshapePlan, IndexedCreateMatchesAllPairsScan) {
+  // Tilings of the world by two different grids, uneven splits included.
+  const std::array<int, 3> n = {37, 20, 29};
+  const Box3 w = world_box(n);
+  const std::vector<ProcGrid> grids = {
+      {{2, 3, 2}}, {{1, 4, 3}}, {{5, 1, 1}}, {{1, 1, 12}}, {{3, 4, 1}}};
+  for (const ProcGrid& a : grids)
+    for (const ProcGrid& b : grids) {
+      const int R = std::max(a.count(), b.count());
+      expect_matches_all_pairs(pad_boxes(split_world(w, a), R),
+                               pad_boxes(split_world(w, b), R), "tiling");
+    }
+
+  // Empty boxes on either side (grid shrinking pads with them).
+  expect_matches_all_pairs(pad_boxes(split_world(w, ProcGrid{{2, 1, 3}}), 20),
+                           split_world(w, ProcGrid{{1, 4, 5}}), "padded");
+  expect_matches_all_pairs(std::vector<Box3>(7), std::vector<Box3>(7),
+                           "all empty");
+
+  // Arbitrary boxes: overlapping, gapped, outside each other's hull,
+  // negative corners, empty ones.
+  Rng rng(4151);
+  for (int trial = 0; trial < 30; ++trial) {
+    const int R = static_cast<int>(rng.uniform_int(1, 90));
+    auto random_boxes = [&] {
+      std::vector<Box3> boxes(static_cast<std::size_t>(R));
+      for (Box3& b : boxes)
+        for (std::size_t a = 0; a < 3; ++a) {
+          b.lo[a] = rng.uniform_int(-8, 40);
+          b.hi[a] = b.lo[a] + rng.uniform_int(-2, 25);
+        }
+      return boxes;
+    };
+    const auto from = random_boxes();
+    const auto to = random_boxes();
+    expect_matches_all_pairs(from, to, "random " + std::to_string(trial));
+  }
+
+  // The largest point of the strong-scaling sweep: 512^3 on 3072 ranks,
+  // minimum-surface bricks to z-pencils.
+  const Box3 big = world_box({512, 512, 512});
+  expect_matches_all_pairs(
+      split_world(big, min_surface_grid(3072, {512, 512, 512})),
+      split_world(big, pencil_grid(3072, 2)), "3072 brick->pencil");
 }
 
 TEST(ReshapePlan, MismatchedSizesThrow) {

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
 #include <string>
 
 #include "common/random.hpp"
@@ -361,6 +363,46 @@ TEST(Simulate, OverlappedBatchTimeReusesACallersMemo) {
   EXPECT_EQ(t6, price(6, nullptr));
   EXPECT_EQ(t3, price(3, nullptr));
   memo.check_invariants();
+}
+
+// The strong-scaling sweep's largest points price wide exchange phases
+// (reshape planning over 3072 boxes, thousands of padded or storm flows)
+// and must keep reproducing these exact results, recorded before planning
+// and pairwise pricing stopped scaling with the square of the rank count.
+TEST(Simulate, LargeScalePricingMatchesRecordedValues) {
+  struct Point {
+    int ranks;
+    Backend backend;
+    double per_transform;
+    std::uint64_t rank_times_digest;
+  };
+  const Point points[] = {
+      {3072, Backend::Alltoallv, 0x1.2619755784898p-9, 0xafb90058345af43dull},
+      {3072, Backend::P2PNonBlocking, 0x1.526a332cdd624p-8,
+       0xaadcf6836ab4de25ull},
+      {1536, Backend::Alltoall, 0x1.ef8ae5b7d872dp-4, 0xe113d193faa84025ull},
+  };
+  for (const Point& p : points) {
+    SimConfig cfg = base_config(p.ranks, {512, 512, 512});
+    cfg.options.backend = p.backend;
+    cfg.gpu_aware = true;
+    const SimReport rep = simulate(cfg);
+    ASSERT_EQ(rep.rank_times.size(), static_cast<std::size_t>(p.ranks));
+    // FNV-1a over the bit patterns of the per-rank clocks.
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (double t : rep.rank_times) {
+      std::uint64_t bits = 0;
+      std::memcpy(&bits, &t, sizeof bits);
+      for (int i = 0; i < 8; ++i) {
+        h ^= (bits >> (8 * i)) & 0xffu;
+        h *= 0x100000001b3ull;
+      }
+    }
+    EXPECT_EQ(rep.per_transform, p.per_transform)
+        << backend_name(p.backend) << " r" << p.ranks;
+    EXPECT_EQ(h, p.rank_times_digest)
+        << backend_name(p.backend) << " r" << p.ranks;
+  }
 }
 
 }  // namespace
