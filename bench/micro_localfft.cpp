@@ -5,6 +5,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <array>
+
 #include "common/random.hpp"
 #include "fft/many.hpp"
 #include "fft/real.hpp"
@@ -25,7 +27,7 @@ void BM_Fft1D(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_Fft1D)->Arg(64)->Arg(512)->Arg(1024)->Arg(4096);
+BENCHMARK(BM_Fft1D)->Arg(64)->Arg(128)->Arg(512)->Arg(1024)->Arg(4096);
 
 void BM_Fft1DPrimeBluestein(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -53,6 +55,22 @@ void BM_Fft1DBatchedStrided(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n * batch);
 }
 BENCHMARK(BM_Fft1DBatchedStrided)->Arg(4)->Arg(32);
+
+/// Axis 0 of a 128 x 32 x 128 brick: 4096 lines of stride 4096 with
+/// adjacent starts, the strided pipeline stage of fft_exec.
+void BM_FftAxisStrided(benchmark::State& state) {
+  const std::array<int, 3> dims = {128, 32, 128};
+  const idx_t count = static_cast<idx_t>(dims[0]) * dims[1] * dims[2];
+  Rng rng(6);
+  auto x = rng.complex_vector(static_cast<std::size_t>(count));
+  for (auto _ : state) {
+    dft::fft3d_axis(x.data(), dims, 0, dft::Direction::Forward);
+    benchmark::DoNotOptimize(x.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * count);
+}
+BENCHMARK(BM_FftAxisStrided);
 
 void BM_Fft3DLocal(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

@@ -40,7 +40,7 @@ void BM_TransposeToLines(benchmark::State& state) {
   }
   state.SetBytesProcessed(state.iterations() * box.count() * 16);
 }
-BENCHMARK(BM_TransposeToLines)->Arg(32)->Arg(64);
+BENCHMARK(BM_TransposeToLines)->Arg(32)->Arg(64)->Arg(128);
 
 void BM_ReshapePlanCreate(benchmark::State& state) {
   const int ranks = static_cast<int>(state.range(0));

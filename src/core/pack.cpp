@@ -1,5 +1,6 @@
 #include "core/pack.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/error.hpp"
@@ -62,6 +63,24 @@ double pack_contiguous_run(const Box3& local, const Box3& region) {
   return run;
 }
 
+namespace {
+/// dst[a][c][r] = src[a][r][c] for `outer` row-major rows x cols matrices,
+/// in kTile x kTile tiles: a power-of-two row length would otherwise send
+/// every write of a column into the same few cache sets.
+constexpr idx_t kTile = 16;
+void transpose_tiled(const cplx* src, idx_t outer, idx_t rows, idx_t cols,
+                     cplx* dst) {
+  for (idx_t a = 0; a < outer; ++a, src += rows * cols, dst += rows * cols)
+    for (idx_t r0 = 0; r0 < rows; r0 += kTile)
+      for (idx_t c0 = 0; c0 < cols; c0 += kTile) {
+        const idx_t r1 = std::min(rows, r0 + kTile);
+        const idx_t c1 = std::min(cols, c0 + kTile);
+        for (idx_t r = r0; r < r1; ++r)
+          for (idx_t c = c0; c < c1; ++c) dst[c * rows + r] = src[r * cols + c];
+      }
+}
+}  // namespace
+
 idx_t transpose_to_lines(const cplx* src, const Box3& box, int axis,
                          cplx* dst) {
   PARFFT_CHECK(axis >= 0 && axis < 3, "axis must be 0, 1 or 2");
@@ -75,19 +94,11 @@ idx_t transpose_to_lines(const cplx* src, const Box3& box, int axis,
       break;
     case 1:
       // line (i0, i2): dst[(i0*n2 + i2)*n1 + j] = src[(i0*n1 + j)*n2 + i2]
-      for (idx_t i0 = 0; i0 < n0; ++i0)
-        for (idx_t j = 0; j < n1; ++j)
-          for (idx_t i2 = 0; i2 < n2; ++i2)
-            dst[(i0 * n2 + i2) * n1 + j] = src[(i0 * n1 + j) * n2 + i2];
-      break;
-    case 0:
-      // line (i1, i2): dst[(i1*n2 + i2)*n0 + j] = src[(j*n1 + i1)*n2 + i2]
-      for (idx_t j = 0; j < n0; ++j)
-        for (idx_t i1 = 0; i1 < n1; ++i1)
-          for (idx_t i2 = 0; i2 < n2; ++i2)
-            dst[(i1 * n2 + i2) * n0 + j] = src[(j * n1 + i1) * n2 + i2];
+      transpose_tiled(src, n0, n1, n2, dst);
       break;
     default:
+      // line (i1, i2): dst[(i1*n2 + i2)*n0 + j] = src[(j*n1 + i1)*n2 + i2]
+      transpose_tiled(src, 1, n0, n1 * n2, dst);
       break;
   }
   return lines;
@@ -102,18 +113,10 @@ void transpose_from_lines(const cplx* src, const Box3& box, int axis,
       std::memcpy(dst, src, static_cast<std::size_t>(box.count()) * sizeof(cplx));
       break;
     case 1:
-      for (idx_t i0 = 0; i0 < n0; ++i0)
-        for (idx_t j = 0; j < n1; ++j)
-          for (idx_t i2 = 0; i2 < n2; ++i2)
-            dst[(i0 * n1 + j) * n2 + i2] = src[(i0 * n2 + i2) * n1 + j];
-      break;
-    case 0:
-      for (idx_t j = 0; j < n0; ++j)
-        for (idx_t i1 = 0; i1 < n1; ++i1)
-          for (idx_t i2 = 0; i2 < n2; ++i2)
-            dst[(j * n1 + i1) * n2 + i2] = src[(i1 * n2 + i2) * n0 + j];
+      transpose_tiled(src, n0, n2, n1, dst);
       break;
     default:
+      transpose_tiled(src, 1, n1 * n2, n0, dst);
       break;
   }
 }

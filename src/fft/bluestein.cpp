@@ -20,7 +20,6 @@ Bluestein::Bluestein(int n)
     chirp_[static_cast<std::size_t>(j)] = {std::cos(phase), std::sin(phase)};
   }
   a_.assign(static_cast<std::size_t>(m_), cplx{});
-  ah_.assign(static_cast<std::size_t>(m_), cplx{});
 
   // Kernel b[j] = conj(chirp[j]) arranged circularly; its spectrum is
   // reused for every execute. Backward direction conjugates the chirp.
@@ -32,9 +31,8 @@ Bluestein::Bluestein(int n)
       b[static_cast<std::size_t>(j)] = c;
       if (j > 0) b[static_cast<std::size_t>(m_ - j)] = c;
     }
-    std::vector<cplx> bh(static_cast<std::size_t>(m_));
-    fft_m_.execute(b.data(), bh.data(), Direction::Forward);
-    return bh;
+    fft_m_.execute(b.data(), b.data(), Direction::Forward);
+    return b;
   };
   bhat_fwd_ = make_bhat(false);
   bhat_bwd_ = make_bhat(true);
@@ -52,10 +50,10 @@ void Bluestein::execute(const cplx* in, cplx* out, Direction dir) {
     a_[static_cast<std::size_t>(j)] = in[j] * chirp_at(j);
   std::fill(a_.begin() + n_, a_.end(), cplx{});
 
-  fft_m_.execute(a_.data(), ah_.data(), Direction::Forward);
+  fft_m_.execute(a_.data(), a_.data(), Direction::Forward);
   for (int j = 0; j < m_; ++j)
-    ah_[static_cast<std::size_t>(j)] *= bhat[static_cast<std::size_t>(j)];
-  fft_m_.execute(ah_.data(), a_.data(), Direction::Backward);
+    a_[static_cast<std::size_t>(j)] *= bhat[static_cast<std::size_t>(j)];
+  fft_m_.execute(a_.data(), a_.data(), Direction::Backward);
 
   const double inv_m = 1.0 / m_;
   for (int k = 0; k < n_; ++k)

@@ -27,7 +27,7 @@ class Bluestein {
   std::vector<cplx> chirp_;     ///< exp(-i*pi*j^2/n), j in [0, n)
   std::vector<cplx> bhat_fwd_;  ///< forward-direction kernel spectrum
   std::vector<cplx> bhat_bwd_;  ///< backward-direction kernel spectrum
-  std::vector<cplx> a_, ah_;    ///< workspaces of length m_
+  std::vector<cplx> a_;         ///< workspace of length m_
 };
 
 }  // namespace parfft::dft

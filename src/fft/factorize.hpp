@@ -9,8 +9,7 @@ namespace parfft::dft {
 /// One stage of the mixed-radix decomposition: radix `p`, with `m` = length
 /// of each sub-transform at this stage (so p * m == remaining length).
 struct Stage {
-  int p;
-  int m;
+  int p, m;
 };
 
 /// Factorizes n into FFT stages, preferring radix 4, then 2, 3, 5 and

@@ -13,53 +13,22 @@ ManyPlan::ManyPlan(int n, const BatchLayout& layout)
   if (layout_.odist == 0) layout_.odist = static_cast<idx_t>(n) * layout_.ostride;
 }
 
-void ManyPlan::execute(const cplx* in, cplx* out, Direction dir) {
-  for (int b = 0; b < layout_.count; ++b) {
-    const cplx* src = in + static_cast<idx_t>(b) * layout_.idist;
-    cplx* dst = out + static_cast<idx_t>(b) * layout_.odist;
-    plan_.execute_strided(src, layout_.istride, dst, layout_.ostride, dir);
-  }
-}
-
 void fft3d_axis(cplx* data, const std::array<int, 3>& n, int axis,
                 Direction dir) {
   PARFFT_CHECK(axis >= 0 && axis < 3, "axis must be 0, 1 or 2");
-  const idx_t n0 = n[0], n1 = n[1], n2 = n[2];
-  switch (axis) {
-    case 2: {
-      // Fastest axis: contiguous lines.
-      ManyPlan p(n[2], {.count = static_cast<int>(n0 * n1),
-                        .istride = 1,
-                        .idist = n2,
-                        .ostride = 1,
-                        .odist = n2});
-      p.execute(data, data, dir);
-      break;
-    }
-    case 1: {
-      // Middle axis: per (i0) slab, n2 lines of stride n2, adjacent starts.
-      ManyPlan p(n[1], {.count = static_cast<int>(n2),
-                        .istride = n2,
-                        .idist = 1,
-                        .ostride = n2,
-                        .odist = 1});
-      for (idx_t i0 = 0; i0 < n0; ++i0)
-        p.execute(data + i0 * n1 * n2, data + i0 * n1 * n2, dir);
-      break;
-    }
-    case 0: {
-      // Slowest axis: n1*n2 lines of stride n1*n2, adjacent starts.
-      ManyPlan p(n[0], {.count = static_cast<int>(n1 * n2),
-                        .istride = n1 * n2,
-                        .idist = 1,
-                        .ostride = n1 * n2,
-                        .odist = 1});
-      p.execute(data, data, dir);
-      break;
-    }
-    default:
-      break;
-  }
+  const idx_t len = n[static_cast<std::size_t>(axis)];
+  idx_t outer = 1, inner = 1;  // points of the slower / faster axes
+  for (int d = 0; d < axis; ++d) outer *= n[static_cast<std::size_t>(d)];
+  for (int d = axis + 1; d < 3; ++d) inner *= n[static_cast<std::size_t>(d)];
+  // Axis 2: all outer lines are contiguous. Otherwise, per slab of the
+  // slower axes, `inner` lines of stride `inner` with adjacent starts.
+  const bool last = axis == 2;
+  const idx_t dist = last ? len : 1;
+  ManyPlan p(static_cast<int>(len),
+             {.count = static_cast<int>(last ? outer : inner),
+              .istride = inner, .idist = dist, .ostride = inner, .odist = dist});
+  for (idx_t o = 0; o < (last ? 1 : outer); ++o)
+    p.execute(data + o * len * inner, data + o * len * inner, dir);
 }
 
 void fft3d_local(cplx* data, const std::array<int, 3>& n, Direction dir) {

@@ -5,6 +5,9 @@
 /// points the distributed library calls between reshapes: a batch of 1-D
 /// lines along one axis of the local brick, either contiguous (transposed
 /// approach) or strided (non-contiguous approach), cf. paper Figs. 6/7/10.
+///
+/// Every layout takes one path, Plan1D::execute_lines(): blocks of 8
+/// lines run through the Stockham stages interleaved as [n][8].
 
 #include <array>
 
@@ -34,7 +37,10 @@ class ManyPlan {
 
   /// Executes all lines. Exact in-place (in == out with matching layout) is
   /// supported; lines must otherwise not overlap.
-  void execute(const cplx* in, cplx* out, Direction dir);
+  void execute(const cplx* in, cplx* out, Direction dir) {
+    plan_.execute_lines(in, layout_.istride, layout_.idist, out,
+                        layout_.ostride, layout_.odist, layout_.count, dir);
+  }
 
  private:
   Plan1D plan_;

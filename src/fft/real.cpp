@@ -1,5 +1,6 @@
 #include "fft/real.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 
@@ -24,9 +25,8 @@ RealPlan1D::RealPlan1D(int n)
 void RealPlan1D::r2c(const double* in, cplx* out) {
   if (!even_) {
     for (int j = 0; j < n_; ++j) buf_[static_cast<std::size_t>(j)] = in[j];
-    std::vector<cplx> full(static_cast<std::size_t>(n_));
-    plan_.execute(buf_.data(), full.data(), Direction::Forward);
-    for (int k = 0; k <= n_ / 2; ++k) out[k] = full[static_cast<std::size_t>(k)];
+    plan_.execute(buf_.data(), buf2_.data(), Direction::Forward);
+    std::copy_n(buf2_.begin(), n_ / 2 + 1, out);
     return;
   }
   const int h = n_ / 2;
@@ -46,13 +46,11 @@ void RealPlan1D::r2c(const double* in, cplx* out) {
 void RealPlan1D::c2r(const cplx* in, double* out) {
   if (!even_) {
     // Rebuild the full Hermitian spectrum and run a complex backward FFT.
-    std::vector<cplx> full(static_cast<std::size_t>(n_));
-    for (int k = 0; k <= n_ / 2; ++k) full[static_cast<std::size_t>(k)] = in[k];
+    for (int k = 0; k <= n_ / 2; ++k) buf_[static_cast<std::size_t>(k)] = in[k];
     for (int k = n_ / 2 + 1; k < n_; ++k)
-      full[static_cast<std::size_t>(k)] = std::conj(in[n_ - k]);
-    std::vector<cplx> time(static_cast<std::size_t>(n_));
-    plan_.execute(full.data(), time.data(), Direction::Backward);
-    for (int j = 0; j < n_; ++j) out[j] = time[static_cast<std::size_t>(j)].real();
+      buf_[static_cast<std::size_t>(k)] = std::conj(in[n_ - k]);
+    plan_.execute(buf_.data(), buf2_.data(), Direction::Backward);
+    for (int j = 0; j < n_; ++j) out[j] = buf2_[static_cast<std::size_t>(j)].real();
     return;
   }
   const int h = n_ / 2;
@@ -90,8 +88,7 @@ void fft3d_c2r_local(const cplx* in, double* out,
   const idx_t n0 = n[0], n1 = n[1], n2 = n[2];
   const idx_t nc = n2 / 2 + 1;
   const std::array<int, 3> cdims = {n[0], n[1], static_cast<int>(nc)};
-  std::vector<cplx> tmp(static_cast<std::size_t>(n0 * n1 * nc));
-  std::copy(in, in + n0 * n1 * nc, tmp.begin());
+  std::vector<cplx> tmp(in, in + n0 * n1 * nc);
   fft3d_axis(tmp.data(), cdims, 0, Direction::Backward);
   fft3d_axis(tmp.data(), cdims, 1, Direction::Backward);
   RealPlan1D rp(n[2]);

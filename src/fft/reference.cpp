@@ -26,34 +26,25 @@ std::vector<cplx> reference_dft(const std::vector<cplx>& x, Direction dir) {
 std::vector<cplx> reference_dft3d(const std::vector<cplx>& x,
                                   const std::array<int, 3>& n,
                                   Direction dir) {
-  const idx_t n0 = n[0], n1 = n[1], n2 = n[2];
-  PARFFT_CHECK(static_cast<idx_t>(x.size()) == n0 * n1 * n2,
+  const idx_t total = static_cast<idx_t>(n[0]) * n[1] * n[2];
+  PARFFT_CHECK(static_cast<idx_t>(x.size()) == total,
                "input size does not match dims");
   std::vector<cplx> data = x;
-  std::vector<cplx> line;
-
-  auto transform_lines = [&](idx_t count, auto index_of) {
-    for (idx_t l = 0; l < count; ++l) {
-      for (idx_t j = 0; j < static_cast<idx_t>(line.size()); ++j)
-        line[static_cast<std::size_t>(j)] = data[static_cast<std::size_t>(index_of(l, j))];
-      auto out = reference_dft(line, dir);
-      for (idx_t j = 0; j < static_cast<idx_t>(line.size()); ++j)
-        data[static_cast<std::size_t>(index_of(l, j))] = out[static_cast<std::size_t>(j)];
+  if (total == 0) return data;
+  idx_t stride = 1;  // element stride of the current axis
+  for (int axis = 2; axis >= 0; --axis) {
+    const idx_t len = n[static_cast<std::size_t>(axis)];
+    std::vector<cplx> line(static_cast<std::size_t>(len));
+    for (idx_t l = 0; l < total / len; ++l) {
+      const idx_t base = l / stride * stride * len + l % stride;
+      for (idx_t j = 0; j < len; ++j)
+        line[static_cast<std::size_t>(j)] = data[static_cast<std::size_t>(base + j * stride)];
+      const std::vector<cplx> out = reference_dft(line, dir);
+      for (idx_t j = 0; j < len; ++j)
+        data[static_cast<std::size_t>(base + j * stride)] = out[static_cast<std::size_t>(j)];
     }
-  };
-
-  // Axis 2 (fastest).
-  line.assign(static_cast<std::size_t>(n2), cplx{});
-  transform_lines(n0 * n1, [&](idx_t l, idx_t j) { return l * n2 + j; });
-  // Axis 1.
-  line.assign(static_cast<std::size_t>(n1), cplx{});
-  transform_lines(n0 * n2, [&](idx_t l, idx_t j) {
-    const idx_t i0 = l / n2, i2 = l % n2;
-    return (i0 * n1 + j) * n2 + i2;
-  });
-  // Axis 0 (slowest).
-  line.assign(static_cast<std::size_t>(n0), cplx{});
-  transform_lines(n1 * n2, [&](idx_t l, idx_t j) { return j * n1 * n2 + l; });
+    stride *= len;
+  }
   return data;
 }
 

@@ -344,17 +344,28 @@ void Comm::collective(const void* contribution,
     if (leader) leader(g.contrib);
     g.arrived = 0;
     g.departed = G;
+    g.reading = G;
     ++g.generation;
     g.cv.notify_all();
   } else {
     const std::uint64_t my_gen = g.generation;
     while (g.generation == my_gen) {
       g.cv.wait_for(lk, kPollInterval);
-      rt_->check_abort();
+      // Once the generation moved, readers may be using this rank's
+      // contribution: finish the collective, abort at the next call.
+      if (g.generation == my_gen) rt_->check_abort();
     }
   }
-  // Consume phase (still under the communicator lock; ranks run in turn).
-  if (reader) reader(g.contrib);
+  // Reader phase, outside the communicator lock: every rank copies into
+  // its own buffers at the same time. The contributions stay alive and
+  // unchanged until `departed` reaches 0 below: no member leaves, and none
+  // can enter the next collective (which rewrites `contrib`), before then.
+  if (reader) {
+    lk.unlock();
+    reader(g.contrib);
+    lk.lock();
+  }
+  --g.reading;
   // The collective synchronizes to the latest entry clock. exit_cost may
   // be negative by contract (overlap_settle rebases a sequential charge
   // to the pipelined schedule), but no rank can land before time zero.
@@ -367,10 +378,11 @@ void Comm::collective(const void* contribution,
     g.cv.notify_all();
   } else {
     // Contributions are stack objects of the participating ranks; nobody
-    // may leave (and destroy theirs) until every reader has finished.
+    // may leave (and destroy theirs) until every reader has finished, not
+    // even to abort. Readers do not throw, so `reading` reaches 0.
     while (g.departed != 0) {
       g.cv.wait_for(lk, kPollInterval);
-      rt_->check_abort();
+      if (g.reading == 0) rt_->check_abort();
     }
   }
 }
@@ -521,7 +533,7 @@ void Comm::alltoallv(const void* sbuf, const std::vector<std::size_t>& scounts,
   collective(
       &mine,
       [&g, G, alg, mode, this](const ContribView& all) {
-        // Leader: cost model + sanity, then move every block.
+        // Leader: cost model and every check; the readers only copy.
         net::SendMatrix sends(static_cast<std::size_t>(G));
         for (int i = 0; i < G; ++i) {
           const C* ci = static_cast<const C*>(all[static_cast<std::size_t>(i)]);
@@ -537,20 +549,26 @@ void Comm::alltoallv(const void* sbuf, const std::vector<std::size_t>& scounts,
         for (int i = 0; i < G; ++i) {
           C* ci = const_cast<C*>(static_cast<const C*>(all[static_cast<std::size_t>(i)]));
           ci->out_time = times.per_rank[static_cast<std::size_t>(i)];
-          // Receive loop for rank i: pull block j -> i from each sender.
           for (int j = 0; j < G; ++j) {
             const C* cj = static_cast<const C*>(all[static_cast<std::size_t>(j)]);
-            const std::size_t b = (*cj->scounts)[static_cast<std::size_t>(i)];
-            PARFFT_CHECK(b == (*ci->rcounts)[static_cast<std::size_t>(j)],
+            PARFFT_CHECK((*cj->scounts)[static_cast<std::size_t>(i)] ==
+                             (*ci->rcounts)[static_cast<std::size_t>(j)],
                          "alltoallv send/recv counts disagree");
-            if (b == 0) continue;
-            std::memcpy(ci->rbuf + (*ci->rdispls)[static_cast<std::size_t>(j)],
-                        cj->sbuf + (*cj->sdispls)[static_cast<std::size_t>(i)],
-                        b);
           }
         }
       },
-      nullptr, [&mine](int, int) { return mine.out_time; });
+      [&mine](const ContribView& all) {
+        // Reader: this rank pulls block j -> me from every sender.
+        const std::size_t me = static_cast<std::size_t>(mine.grank);
+        for (std::size_t j = 0; j < all.size(); ++j) {
+          const C* cj = static_cast<const C*>(all[j]);
+          const std::size_t b = (*cj->scounts)[me];
+          if (b == 0) continue;
+          std::memcpy(mine.rbuf + (*mine.rdispls)[j],
+                      cj->sbuf + (*cj->sdispls)[me], b);
+        }
+      },
+      [&mine](int, int) { return mine.out_time; });
 
   if (obs::RunTrace* run = trace_run()) {
     double sent = 0;
@@ -592,18 +610,18 @@ void Comm::alltoallw(const void* sbuf, const std::vector<Subarray>& stypes,
     const std::vector<Subarray>* stypes;
     std::byte* rbuf;
     const std::vector<Subarray>* rtypes;
+    int grank;
     double out_time;
   } mine{static_cast<const std::byte*>(sbuf), &stypes,
-         static_cast<std::byte*>(rbuf), &rtypes, 0.0};
+         static_cast<std::byte*>(rbuf), &rtypes, grank_, 0.0};
 
   auto& g = rt_->group(group_id_);
   const net::TransferMode mode = mode_for(space);
 
-  // The datatype engine: copy a subarray out of src into dst layout.
+  // The datatype engine: copy a subarray out of src into dst layout. The
+  // leader has checked that the two shapes match.
   auto copy_subarray = [](const std::byte* src, const Subarray& st,
                           std::byte* dst, const Subarray& rt) {
-    PARFFT_CHECK(st.sub == rt.sub && st.elem_bytes == rt.elem_bytes,
-                 "alltoallw matched datatypes must have equal shapes");
     const idx_t eb = static_cast<idx_t>(st.elem_bytes);
     for (idx_t a = 0; a < st.sub[0]; ++a)
       for (idx_t b = 0; b < st.sub[1]; ++b) {
@@ -620,7 +638,7 @@ void Comm::alltoallw(const void* sbuf, const std::vector<Subarray>& stypes,
 
   collective(
       &mine,
-      [&g, G, mode, this, &copy_subarray](const ContribView& all) {
+      [&g, G, mode, this](const ContribView& all) {
         net::SendMatrix sends(static_cast<std::size_t>(G));
         for (int i = 0; i < G; ++i) {
           const C* ci = static_cast<const C*>(all[static_cast<std::size_t>(i)]);
@@ -642,12 +660,23 @@ void Comm::alltoallw(const void* sbuf, const std::vector<Subarray>& stypes,
             const Subarray& rt = (*ci->rtypes)[static_cast<std::size_t>(j)];
             PARFFT_CHECK(st.empty() == rt.empty(),
                          "alltoallw send/recv datatypes disagree");
-            if (st.empty()) continue;
-            copy_subarray(cj->sbuf, st, ci->rbuf, rt);
+            PARFFT_CHECK(st.empty() || (st.sub == rt.sub &&
+                                        st.elem_bytes == rt.elem_bytes),
+                         "alltoallw matched datatypes must have equal shapes");
           }
         }
       },
-      nullptr, [&mine](int, int) { return mine.out_time; });
+      [&mine, &copy_subarray](const ContribView& all) {
+        // Reader: this rank pulls its subarray from every sender.
+        const std::size_t me = static_cast<std::size_t>(mine.grank);
+        for (std::size_t j = 0; j < all.size(); ++j) {
+          const C* cj = static_cast<const C*>(all[j]);
+          const Subarray& st = (*cj->stypes)[me];
+          if (st.empty()) continue;
+          copy_subarray(cj->sbuf, st, mine.rbuf, (*mine.rtypes)[j]);
+        }
+      },
+      [&mine](int, int) { return mine.out_time; });
 
   if (obs::RunTrace* run = trace_run()) {
     double sent = 0;

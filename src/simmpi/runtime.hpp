@@ -210,7 +210,9 @@ class Comm {
   /// Generic two-phase collective: publish `contribution`, the last
   /// arriving member runs `leader` over all contributions (other threads
   /// are parked, so the leader may write into their buffers), then every
-  /// member runs `reader`, and finally every member's clock becomes
+  /// member runs `reader` concurrently and outside the group lock (so a
+  /// reader may read any contribution but write only its own buffers),
+  /// and finally every member's clock becomes
   /// max(entry clocks) + exit_cost(my group rank, group size).
   using ContribView = std::vector<const void*>;
   void collective(const void* contribution,
@@ -282,6 +284,7 @@ class Runtime {
     std::condition_variable cv;
     int arrived = 0;
     int departed = 0;
+    int reading = 0;  ///< members whose reader phase has not finished
     std::uint64_t generation = 0;
     std::vector<const void*> contrib;
     std::vector<double> entry;

@@ -1,12 +1,15 @@
 // Validation of the 1-D complex FFT engine against the naive reference DFT,
 // across radix mixes, primes (generic butterfly and Bluestein paths),
-// strided execution and in-place operation.
+// strided execution, batched layouts and in-place operation.
 #include <gtest/gtest.h>
+
+#include <cstring>
 
 #include "common/error.hpp"
 #include "common/random.hpp"
 #include "fft/bluestein.hpp"
 #include "fft/factorize.hpp"
+#include "fft/many.hpp"
 #include "fft/plan1d.hpp"
 #include "fft/reference.hpp"
 
@@ -223,6 +226,95 @@ TEST(Plan1D, MoveTransfersPlan) {
   b.execute(x.data(), y.data(), Direction::Forward);
   auto ref = reference_dft(x, Direction::Forward);
   EXPECT_LT(max_err(y, ref), 1e-9);
+}
+
+enum class Layout { Contiguous, AdjacentStrided, GeneralStrided };
+
+/// The batch layout of `count` lines of length n; out of place, the
+/// general-strided output uses other strides than its input.
+BatchLayout layout_for(Layout kind, int n, int count, bool in_place) {
+  switch (kind) {
+    case Layout::Contiguous:
+      return {.count = count, .istride = 1, .idist = n, .ostride = 1, .odist = n};
+    case Layout::AdjacentStrided:
+      return {.count = count, .istride = count, .idist = 1, .ostride = count,
+              .odist = 1};
+    default:
+      return {.count = count, .istride = 3, .idist = 3 * n + 1,
+              .ostride = in_place ? 3 : 2,
+              .odist = in_place ? 3 * n + 1 : 2 * n + 3};
+  }
+}
+
+idx_t span_of(int n, int count, idx_t stride, idx_t dist) {
+  return (count - 1) * dist + (n - 1) * stride + 1;
+}
+
+// Every layout runs through the block path (8 lines interleaved per
+// block; counts on both sides of one and two blocks), and each line must
+// come out bit for bit as Plan1D::execute makes it from that line alone.
+// Elements between the lines must be left untouched.
+TEST(ManyPlan, BlockedMatchesSingleLineBitwise) {
+  constexpr int kMaxCount = 33;
+  const cplx sentinel{-123.25, 456.5};
+  // 67 has a prime factor above kGenericRadixMax: Bluestein.
+  for (int n : {1, 2, 3, 5, 7, 8, 12, 15, 49, 60, 96, 100, 105, 128, 243,
+                1000, 4096, 67}) {
+    Plan1D single(n);
+    EXPECT_EQ(single.uses_bluestein(), n == 67);
+    Rng rng(7000 + static_cast<std::uint64_t>(n));
+    std::vector<std::vector<cplx>> lines(kMaxCount);
+    for (auto& l : lines) l = rng.complex_vector(static_cast<std::size_t>(n));
+    for (Direction dir : {Direction::Forward, Direction::Backward}) {
+      std::vector<std::vector<cplx>> want(kMaxCount,
+                                          std::vector<cplx>(static_cast<std::size_t>(n)));
+      for (int l = 0; l < kMaxCount; ++l)
+        single.execute(lines[static_cast<std::size_t>(l)].data(),
+                       want[static_cast<std::size_t>(l)].data(), dir);
+      // The O(n^2) reference runs on every line up to n = 256 and on the
+      // last line beyond; bitwise equality carries it to the rest.
+      const double tol = (n == 67 ? 1e-8 : 1e-9) * n;
+      for (int l = n <= 256 ? 0 : kMaxCount - 1; l < kMaxCount; ++l)
+        EXPECT_LT(max_err(want[static_cast<std::size_t>(l)],
+                          reference_dft(lines[static_cast<std::size_t>(l)], dir)),
+                  tol)
+            << "n=" << n << " line " << l;
+      for (int count : {1, 7, 8, 9, 15, 16, 17, 33})
+        for (Layout kind : {Layout::Contiguous, Layout::AdjacentStrided,
+                            Layout::GeneralStrided})
+          for (bool in_place : {true, false}) {
+            const BatchLayout lay = layout_for(kind, n, count, in_place);
+            std::vector<cplx> in(static_cast<std::size_t>(
+                                     span_of(n, count, lay.istride, lay.idist)),
+                                 sentinel);
+            for (int l = 0; l < count; ++l)
+              for (int j = 0; j < n; ++j)
+                in[static_cast<std::size_t>(l * lay.idist + j * lay.istride)] =
+                    lines[static_cast<std::size_t>(l)][static_cast<std::size_t>(j)];
+            std::vector<cplx> separate(
+                in_place ? 0 : static_cast<std::size_t>(
+                                   span_of(n, count, lay.ostride, lay.odist)),
+                sentinel);
+            std::vector<cplx>& out = in_place ? in : separate;
+            ManyPlan(n, lay).execute(in.data(), out.data(), dir);
+            int wrong = 0, touched = 0;
+            for (int l = 0; l < count; ++l)
+              for (int j = 0; j < n; ++j) {
+                cplx& got = out[static_cast<std::size_t>(l * lay.odist + j * lay.ostride)];
+                const cplx& expect =
+                    want[static_cast<std::size_t>(l)][static_cast<std::size_t>(j)];
+                wrong += std::memcmp(&got, &expect, sizeof(cplx)) != 0;
+                got = sentinel;
+              }
+            for (const cplx& v : out) touched += v != sentinel;
+            EXPECT_EQ(wrong, 0) << "n=" << n << " count=" << count << " layout "
+                                << static_cast<int>(kind) << " in_place=" << in_place
+                                << " dir=" << static_cast<int>(dir);
+            EXPECT_EQ(touched, 0) << "n=" << n << " count=" << count
+                                  << " layout " << static_cast<int>(kind);
+          }
+    }
+  }
 }
 
 TEST(Bluestein, ConvolutionLengthIsPow2AtLeastTwiceN) {

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cstring>
 #include <map>
 #include <string>
 #include <vector>
@@ -84,6 +86,43 @@ TEST_P(TransposeAxes, RoundTripAndLineContent) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllAxes, TransposeAxes, ::testing::Values(0, 1, 2));
+
+// The tiled transposes must move every element exactly where the plain
+// triple loops put it, on boxes that are not multiples of the tile and on
+// power-of-two boxes alike.
+TEST(Pack, TransposeMatchesNaiveLoops) {
+  for (const std::array<idx_t, 3>& n :
+       {std::array<idx_t, 3>{5, 7, 3}, {17, 1, 33}, {1, 1, 40}, {128, 32, 128}}) {
+    const Box3 box{{3, 0, 2}, {n[0] + 2, n[1] - 1, n[2] + 1}};
+    const idx_t n0 = n[0], n1 = n[1], n2 = n[2];
+    Rng rng(20 + static_cast<std::uint64_t>(n0 * n1 * n2));
+    const auto data = rng.complex_vector(static_cast<std::size_t>(box.count()));
+    for (int axis = 0; axis < 3; ++axis) {
+      // Line order: the remaining axes in ascending order; j runs along
+      // `axis`. want[line * len + j] = data[(i0 * n1 + i1) * n2 + i2].
+      std::vector<cplx> want(data.size());
+      const idx_t len = n[static_cast<std::size_t>(axis)];
+      for (idx_t i0 = 0; i0 < n0; ++i0)
+        for (idx_t i1 = 0; i1 < n1; ++i1)
+          for (idx_t i2 = 0; i2 < n2; ++i2) {
+            const idx_t line = axis == 0 ? i1 * n2 + i2
+                               : axis == 1 ? i0 * n2 + i2
+                                           : i0 * n1 + i1;
+            const idx_t j = axis == 0 ? i0 : axis == 1 ? i1 : i2;
+            want[static_cast<std::size_t>(line * len + j)] =
+                data[static_cast<std::size_t>((i0 * n1 + i1) * n2 + i2)];
+          }
+      std::vector<cplx> lines(data.size()), back(data.size());
+      EXPECT_EQ(transpose_to_lines(data.data(), box, axis, lines.data()),
+                box.count() / len);
+      transpose_from_lines(want.data(), box, axis, back.data());
+      EXPECT_EQ(std::memcmp(lines.data(), want.data(), want.size() * sizeof(cplx)), 0)
+          << n0 << "x" << n1 << "x" << n2 << " axis " << axis;
+      EXPECT_EQ(std::memcmp(back.data(), data.data(), data.size() * sizeof(cplx)), 0)
+          << n0 << "x" << n1 << "x" << n2 << " axis " << axis;
+    }
+  }
+}
 
 TEST(ReshapePlan, IdentityDetected) {
   const auto boxes = split_world(world_box({8, 8, 8}), ProcGrid{{2, 2, 1}});

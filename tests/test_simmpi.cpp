@@ -3,8 +3,11 @@
 // split and derived-datatype Alltoallw.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <numeric>
+#include <vector>
 
+#include "common/random.hpp"
 #include "simmpi/runtime.hpp"
 
 namespace parfft::smpi {
@@ -280,6 +283,91 @@ TEST(Collectives, AlltoallPaddedCostsMoreThanAlltoallv) {
   };
   EXPECT_GT(run_with(net::CollectiveAlg::Alltoall),
             run_with(net::CollectiveAlg::Alltoallv));
+}
+
+// Every rank copies the blocks addressed to it, outside the group lock,
+// while the others do the same; back-to-back calls on one communicator
+// then lean on the departure barrier to keep the next call's contributions
+// from replacing ones a reader still uses. Counts come from one seeded
+// matrix per call that all ranks draw alike, with zero blocks and
+// self-blocks; every element must land where it belongs and nothing else
+// may be written.
+TEST(Simmpi, AlltoallvAlltoallwDeliverUnderRepeatedCalls) {
+  static constexpr int kCalls = 50;
+  static constexpr idx_t kMaxBlock = 4;  // elements per block: 0..kMaxBlock
+  static constexpr double kUnset = -1.0;
+  for (int G : {1, 2, 3, 5, 8}) {
+    Runtime rt(small_opts(G));
+    rt.run([G](Comm& c) {
+      const int me = c.rank();
+      const std::size_t g = static_cast<std::size_t>(G);
+      // Value of element e of block src -> dst in call `call`.
+      auto value = [](int call, int src, int dst, idx_t e) {
+        return static_cast<double>(((call * 16 + src) * 16 + dst) * 16 + e);
+      };
+      for (int call = 0; call < kCalls; ++call) {
+        Rng rng(static_cast<std::uint64_t>(1000 * G + call));
+        std::vector<std::vector<idx_t>> cnt(g, std::vector<idx_t>(g));
+        for (auto& row : cnt)
+          for (idx_t& v : row) v = rng.uniform_int(0, 2) == 0 ? 0 : rng.uniform_int(1, kMaxBlock);
+
+        // Alltoallv: packed blocks, peer order.
+        std::vector<std::size_t> sc(g), sd(g), rc(g), rd(g);
+        std::vector<double> sbuf, rbuf;
+        for (std::size_t j = 0; j < g; ++j) {
+          sd[j] = sbuf.size() * sizeof(double);
+          sc[j] = static_cast<std::size_t>(cnt[static_cast<std::size_t>(me)][j]) * sizeof(double);
+          for (idx_t e = 0; e < cnt[static_cast<std::size_t>(me)][j]; ++e)
+            sbuf.push_back(value(call, me, static_cast<int>(j), e));
+          rd[j] = rbuf.size() * sizeof(double);
+          rc[j] = static_cast<std::size_t>(cnt[j][static_cast<std::size_t>(me)]) * sizeof(double);
+          rbuf.resize(rbuf.size() + static_cast<std::size_t>(cnt[j][static_cast<std::size_t>(me)]), kUnset);
+        }
+        c.alltoallv(sbuf.data(), sc, sd, rbuf.data(), rc, rd);
+        // Count mismatches rather than ASSERT: a rank that left early
+        // would leave the others waiting in the next collective.
+        int wrong = 0;
+        for (std::size_t j = 0, k = 0; j < g; ++j)
+          for (idx_t e = 0; e < cnt[j][static_cast<std::size_t>(me)]; ++e, ++k)
+            wrong += rbuf[k] != value(call, static_cast<int>(j), me, e);
+        EXPECT_EQ(wrong, 0) << "alltoallv G=" << G << " call " << call;
+
+        // Alltoallw: block -> peer j is row pair j of a G x 2 x kMaxBlock
+        // brick, left-aligned on the sender and right-aligned on the
+        // receiver.
+        const std::array<idx_t, 3> full{G, 2, kMaxBlock};
+        std::vector<double> brick(static_cast<std::size_t>(G * 2 * kMaxBlock), kUnset),
+            out(brick.size(), kUnset);
+        std::vector<Subarray> st(g), rt_types(g);
+        for (std::size_t j = 0; j < g; ++j) {
+          const idx_t ns = cnt[static_cast<std::size_t>(me)][j];
+          const idx_t nr = cnt[j][static_cast<std::size_t>(me)];
+          const idx_t jj = static_cast<idx_t>(j);
+          st[j] = {full, {1, 2, ns}, {jj, 0, 0}, sizeof(double)};
+          rt_types[j] = {full, {1, 2, nr}, {jj, 0, kMaxBlock - nr}, sizeof(double)};
+          for (idx_t b = 0; b < 2; ++b)
+            for (idx_t e = 0; e < ns; ++e)
+              brick[static_cast<std::size_t>((jj * 2 + b) * kMaxBlock + e)] =
+                  value(call, me, static_cast<int>(j), b * kMaxBlock + e);
+        }
+        c.alltoallw(brick.data(), st, out.data(), rt_types);
+        wrong = 0;
+        for (std::size_t j = 0; j < g; ++j) {
+          const idx_t nr = cnt[j][static_cast<std::size_t>(me)];
+          const idx_t jj = static_cast<idx_t>(j);
+          for (idx_t b = 0; b < 2; ++b)
+            for (idx_t e = 0; e < kMaxBlock; ++e) {
+              const double got = out[static_cast<std::size_t>((jj * 2 + b) * kMaxBlock + e)];
+              const idx_t src_e = e - (kMaxBlock - nr);
+              wrong += got != (src_e >= 0 ? value(call, static_cast<int>(j), me,
+                                                  b * kMaxBlock + src_e)
+                                          : kUnset);
+            }
+        }
+        EXPECT_EQ(wrong, 0) << "alltoallw G=" << G << " call " << call;
+      }
+    });
+  }
 }
 
 TEST(Collectives, AlltoallwMovesSubarrays) {
