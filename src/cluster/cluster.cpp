@@ -162,7 +162,8 @@ const char* placement_name(Placement p) {
 }
 
 struct Cluster::Shard {
-  explicit Shard(serve::ServerConfig cfg) : server(std::move(cfg)) {}
+  Shard(serve::ServerConfig cfg, std::shared_ptr<serve::PlanCatalog> catalog)
+      : server(std::move(cfg), std::move(catalog)) {}
 
   serve::Server server;
   std::unique_ptr<Feeder> feeder;  ///< live during run()
@@ -170,7 +171,9 @@ struct Cluster::Shard {
   std::uint64_t warm_routed = 0;   ///< this run
 };
 
-Cluster::Cluster(ClusterOptions opt) : opt_(std::move(opt)) {
+Cluster::Cluster(ClusterOptions opt)
+    : opt_(std::move(opt)),
+      catalog_(std::make_shared<serve::PlanCatalog>(opt_.shard.cluster)) {
   PARFFT_CHECK(opt_.machines >= 1, "cluster: need at least one machine");
   for (const DrainEvent& d : opt_.survival.drains)
     PARFFT_CHECK(d.machine >= 0 && d.machine < opt_.machines,
@@ -191,7 +194,7 @@ Cluster::Cluster(ClusterOptions opt) : opt_(std::move(opt)) {
       cfg.telemetry.flight_path += mid;
       cfg.telemetry.flight_path += "_";
     }
-    shards_.push_back(std::make_unique<Shard>(std::move(cfg)));
+    shards_.push_back(std::make_unique<Shard>(std::move(cfg), catalog_));
   }
 }
 

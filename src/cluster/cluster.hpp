@@ -197,9 +197,9 @@ struct ClusterReport {
   void write_json(std::ostream& os) const;
 };
 
-/// The sharded serving tier. Shards (and their plan caches) persist
-/// across run() calls, mirroring serve::Server; ClusterFaultPlan times
-/// are relative to each run's start.
+/// The sharded serving tier. Shards (and their plan caches, all over one
+/// PlanCatalog) persist across run() calls, mirroring serve::Server;
+/// ClusterFaultPlan times are relative to each run's start.
 class Cluster {
  public:
   explicit Cluster(ClusterOptions opt);
@@ -210,6 +210,7 @@ class Cluster {
   ClusterReport run(serve::Workload& workload);
 
   const ClusterOptions& options() const { return opt_; }
+  const serve::PlanCatalog& plan_catalog() const { return *catalog_; }
 
   /// Combined parfft-telemetry-v1 document over every shard's most
   /// recent run (valid after run(); see obs::write_cluster_snapshot).
@@ -219,6 +220,7 @@ class Cluster {
   struct Shard;
 
   ClusterOptions opt_;
+  std::shared_ptr<serve::PlanCatalog> catalog_;
   std::vector<std::unique_ptr<Shard>> shards_;
 };
 

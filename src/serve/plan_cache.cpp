@@ -8,61 +8,63 @@
 namespace parfft::serve {
 
 double ServedPlan::exec_time(int batch, double nic_scale) {
-  // `nic_scale` is a stored FaultPlan sentinel compared untouched, so
-  // equality against healthy (1.0) is exact by construction.
-  if (nic_scale != 1.0) sim_.set_nic_scale(nic_scale);  // parfft-lint: allow(float-eq)
-  const double t = sim_.transform_time(batch);
-  if (nic_scale != 1.0) sim_.set_nic_scale(1.0);  // parfft-lint: allow(float-eq)
-  return t;
+  // Catalog handles are shared: restore healthy links even on a throw.
+  struct Restore {
+    core::Simulator& sim;
+    ~Restore() { sim.set_nic_scale(1.0); }
+  } restore{sim_};
+  sim_.set_nic_scale(nic_scale);
+  return sim_.transform_time(batch);
 }
 
-double ServedPlan::setup_time() {
-  if (setup_ < 0) setup_ = sim_.plan_setup_time();
-  return setup_;
+ServedPlan* PlanCatalog::handle(const std::string& key,
+                                const JobShape& shape) {
+  std::unique_ptr<ServedPlan>& plan = plans[key];
+  if (!plan) plan = std::make_unique<ServedPlan>(shape, cluster);
+  return plan.get();
 }
 
-PlanCache::PlanCache(ClusterConfig cluster, std::size_t capacity,
-                     std::size_t eviction_window)
-    : cluster_(std::move(cluster)), capacity_(capacity),
+PlanCache::PlanCache(std::shared_ptr<PlanCatalog> catalog,
+                     std::size_t capacity, std::size_t eviction_window)
+    : catalog_(std::move(catalog)), capacity_(capacity),
       window_(std::max<std::size_t>(1, eviction_window)) {}
 
 PlanCache::Lookup PlanCache::acquire(const JobShape& shape) {
   ++lookups_;
-  const std::string key = shape_key(cluster_, shape);
+  const std::string key = shape_key(catalog_->cluster, shape);
   if (auto it = entries_.find(key); it != entries_.end()) {
     ++hits_;
     lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
     PARFFT_IF_PARANOID(check_invariants());
-    return {it->second.plan.get(), /*hit=*/true, 0.0};
+    return {it->second.plan, /*hit=*/true, 0.0};
   }
   ++misses_;
   if (capacity_ > 0 && entries_.size() >= capacity_) evict_one();
-  auto plan = std::make_unique<ServedPlan>(shape, cluster_);
+  ServedPlan* plan = catalog_->handle(key, shape);
   const double setup = plan->setup_time();
   setup_charged_ += setup;
   lru_.push_front(key);
-  auto [it, inserted] =
-      entries_.emplace(key, Entry{std::move(plan), lru_.begin()});
+  auto [it, inserted] = entries_.emplace(key, Entry{plan, lru_.begin()});
   PARFFT_ASSERT(inserted);
   PARFFT_IF_PARANOID(check_invariants());
-  return {it->second.plan.get(), /*hit=*/false, setup};
+  return {plan, /*hit=*/false, setup};
 }
 
 bool PlanCache::warm(const JobShape& shape) const {
-  return entries_.find(shape_key(cluster_, shape)) != entries_.end();
+  return entries_.find(shape_key(catalog_->cluster, shape)) !=
+         entries_.end();
 }
 
 bool PlanCache::preload(const JobShape& shape) {
-  const std::string key = shape_key(cluster_, shape);
+  const std::string key = shape_key(catalog_->cluster, shape);
   if (entries_.find(key) != entries_.end()) return false;
   if (capacity_ > 0 && entries_.size() >= capacity_) return false;
-  auto plan = std::make_unique<ServedPlan>(shape, cluster_);
   // Cold (LRU) end: the successor's own traffic decides whether the
   // handed-over plan stays hot; the next real miss evicts preloads
   // before anything requests actually warmed.
   lru_.push_back(key);
-  auto [it, inserted] =
-      entries_.emplace(key, Entry{std::move(plan), std::prev(lru_.end())});
+  auto [it, inserted] = entries_.emplace(
+      key, Entry{catalog_->handle(key, shape), std::prev(lru_.end())});
   PARFFT_ASSERT(inserted);
   ++preloads_;
   PARFFT_IF_PARANOID(check_invariants());
@@ -100,9 +102,12 @@ void PlanCache::check_invariants() const {
   PARFFT_CHECK(
       misses_ + preloads_ == entries_.size() + evictions_ + invalidations_,
       "plan cache: misses + preloads != resident + evictions + invalidations");
-  for (const std::string& key : lru_)
-    PARFFT_CHECK(entries_.count(key) == 1,
-                 "plan cache: LRU key without a resident entry");
+  for (const std::string& key : lru_) {
+    const auto it = entries_.find(key);
+    PARFFT_CHECK(it != entries_.end() && catalog_->plans.count(key) == 1 &&
+                     catalog_->plans.at(key).get() == it->second.plan,
+                 "plan cache: LRU key without its catalog's handle resident");
+  }
 }
 
 void PlanCache::evict_one() {

@@ -38,6 +38,9 @@ std::string shape_key(const ClusterConfig& cluster, const JobShape& shape) {
   k += "/";
   k += cluster.device.fft_backend;
   if (!cluster.gpu_aware) k += "|staged";
+  if (!o.overlap_batches) k += "|seq";
+  if (cluster.flavor != net::MpiFlavor::SpectrumMPI)
+    k += "|f" + std::to_string(static_cast<int>(cluster.flavor));
   return k;
 }
 

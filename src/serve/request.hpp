@@ -40,8 +40,8 @@ core::SimConfig to_sim_config(const ClusterConfig& cluster,
                               const JobShape& shape);
 
 /// Canonical plan-cache key: geometry, the plan options that change the
-/// stage pipeline, and the machine identity. Same key <=> one resident
-/// plan serves both jobs.
+/// stage pipeline or its pricer, and the machine identity (MPI flavor
+/// included). Same key <=> one resident plan serves both jobs.
 std::string shape_key(const ClusterConfig& cluster, const JobShape& shape);
 
 /// One client job flowing through the server. Times are virtual seconds.

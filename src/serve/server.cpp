@@ -704,10 +704,16 @@ struct Server::Engine {
   }
 };
 
-Server::Server(ServerConfig cfg)
+Server::Server(ServerConfig cfg, std::shared_ptr<PlanCatalog> catalog)
     : cfg_(std::move(cfg)),
-      cache_(cfg_.cluster, cfg_.cache_capacity, cfg_.cache_eviction_window) {
+      cache_(catalog ? std::move(catalog)
+                     : std::make_shared<PlanCatalog>(cfg_.cluster),
+             cfg_.cache_capacity, cfg_.cache_eviction_window) {
   PARFFT_CHECK(!cfg_.shapes.empty(), "server needs a non-empty shape catalog");
+  for (const JobShape& s : cfg_.shapes)
+    PARFFT_CHECK(shape_key(cache_.catalog().cluster, s) ==
+                     shape_key(cfg_.cluster, s),
+                 "server: plan catalog is bound to a different cluster");
   PARFFT_CHECK(cfg_.retry.max_attempts >= 1,
                "retry.max_attempts counts the first attempt; must be >= 1");
 }

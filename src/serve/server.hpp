@@ -215,7 +215,10 @@ struct ServeReport {
 /// FaultPlan times are relative to each run's start.
 class Server {
  public:
-  explicit Server(ServerConfig cfg);
+  /// The cache borrows pricing handles from `catalog` (null: its own),
+  /// which must key every catalog shape as `cfg.cluster` does; checked.
+  explicit Server(ServerConfig cfg,
+                  std::shared_ptr<PlanCatalog> catalog = nullptr);
   ~Server();
 
   /// Drives `workload` to completion in virtual time. Exactly
@@ -294,8 +297,7 @@ class Server {
     double work = 0;       ///< fraction of the execution completed
     double mark = 0;       ///< virtual time `work` was last advanced to
     double done = 0;       ///< projected completion
-    /// Resident while in flight: no acquire() can evict it before the
-    /// batch finishes or a crash aborts it (single executor).
+    /// The catalog's handle: valid across evictions and crashes.
     ServedPlan* plan = nullptr;
   };
 

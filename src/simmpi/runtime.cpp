@@ -353,7 +353,12 @@ void Comm::collective(const void* contribution,
       g.cv.wait_for(lk, kPollInterval);
       // Once the generation moved, readers may be using this rank's
       // contribution: finish the collective, abort at the next call.
-      if (g.generation == my_gen) rt_->check_abort();
+      // Before that, withdraw it, or a late member leads on a dead object.
+      if (g.generation == my_gen && rt_->aborted_.load()) {
+        g.contrib[static_cast<std::size_t>(grank_)] = nullptr;
+        --g.arrived;
+        rt_->check_abort();
+      }
     }
   }
   // Reader phase, outside the communicator lock: every rank copies into

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -100,6 +101,49 @@ TEST(Cluster, SeededRunsAreByteIdentical) {
   const auto [rep_b, snap_b] = once();
   EXPECT_EQ(rep_a, rep_b) << "same seeds -> byte-identical cluster report";
   EXPECT_EQ(snap_a, snap_b) << "same seeds -> byte-identical snapshot";
+}
+
+/// Every shard borrows its pricing handles from the cluster's one
+/// PlanCatalog: under crashes (cache invalidations), link degradation and
+/// capacity evictions the shards miss far more often than there are
+/// shapes, yet each shape is priced on exactly one handle.
+TEST(Cluster, ShardsShareOnePlanCatalog) {
+  const std::vector<JobShape> shapes = {cube(32), cube(48), cube(64),
+                                        cube(96)};
+  const std::vector<ShapeMix> mix = {
+      {shapes[0], 3.0}, {shapes[1], 2.0}, {shapes[2], 2.0}, {shapes[3], 1.0}};
+  ClusterOptions opt;
+  opt.shard = shard_config(shapes);
+  opt.shard.cache_capacity = 2;
+  opt.shard.retry.max_attempts = 3;
+  opt.shard.retry.jitter_seed = 5;
+  opt.machines = 4;
+  opt.placement = Placement::Load;
+  FaultSpec spec;
+  spec.seed = 11;
+  spec.horizon = 1.0;
+  spec.crash_mtbf = 0.2;
+  spec.crash_mttr = 0.05;
+  spec.degrade_mtbf = 0.3;
+  spec.degrade_mttr = 0.1;
+  opt.faults = ClusterFaultPlan::generate(4, spec);
+  Cluster cluster(opt);
+  OpenLoopWorkload load(mix, /*rate=*/3000, /*count=*/300, /*tenants=*/2, 9);
+  const ClusterReport rep = cluster.run(load);
+
+  OpenLoopWorkload replay(mix, 3000, 300, 2, 9);
+  std::set<int> routed;
+  while (!replay.done()) routed.insert(replay.pop().shape_id);
+  std::uint64_t misses = 0, invalidations = 0;
+  for (const auto& slice : rep.per_machine) {
+    misses += slice.report.cache_misses;
+    invalidations += slice.report.cache_invalidations;
+  }
+  EXPECT_GT(rep.crashes, 0u);
+  EXPECT_GT(invalidations, 0u);
+  EXPECT_GT(misses, routed.size());
+  EXPECT_EQ(cluster.plan_catalog().size(), routed.size())
+      << "one pricing handle per distinct shape across all shards";
 }
 
 // ------------------------------------------- single-machine equivalence

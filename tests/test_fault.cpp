@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "serve/server.hpp"
@@ -161,7 +162,8 @@ TEST(RetryBackoff, DeterministicDecorrelatedAndCapped) {
 // ----------------------------------------------- plan cache invalidation
 
 TEST(ServePlanCache, InvalidationsAreNotEvictions) {
-  PlanCache cache(test_cluster(), /*capacity=*/4);
+  PlanCache cache(std::make_shared<PlanCatalog>(test_cluster()),
+                  /*capacity=*/4);
   cache.acquire(cube(32));
   cache.acquire(cube(64));
   EXPECT_EQ(cache.resident(), 2u);

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "cluster/cluster.hpp"
@@ -167,7 +168,8 @@ TEST(ServeReportVerify, RejectsQuantilesAboveTheMax) {
 // -------------------------------------------------- plan cache identities
 
 TEST(PlanCacheInvariants, HoldAcrossEvictionAndInvalidation) {
-  PlanCache cache(test_cluster(), /*capacity=*/2, /*eviction_window=*/2);
+  PlanCache cache(std::make_shared<PlanCatalog>(test_cluster()),
+                  /*capacity=*/2, /*eviction_window=*/2);
   const std::vector<JobShape> shapes = {cube(32), cube(48), cube(64)};
   // Drive past capacity (evictions), then re-touch (hits), then crash
   // (invalidation) and rebuild.
@@ -192,6 +194,21 @@ TEST(PlanCacheInvariants, HoldAcrossEvictionAndInvalidation) {
   EXPECT_EQ(cache.hits() + cache.misses(), cache.lookups());
   EXPECT_EQ(cache.misses(),
             cache.resident() + cache.evictions() + cache.invalidations());
+}
+
+TEST(PlanCacheInvariants, ResidentPlansAreTheirCatalogsHandles) {
+  auto catalog = std::make_shared<PlanCatalog>(test_cluster());
+  PlanCache cache(catalog, /*capacity=*/2);
+  cache.acquire(cube(32));
+  cache.check_invariants();
+  // A second handle for the same key (a cache that priced afresh) breaks
+  // the sharing identity.
+  auto& handle = catalog->plans.at(shape_key(test_cluster(), cube(32)));
+  auto stolen = std::move(handle);
+  handle = std::make_unique<ServedPlan>(cube(32), test_cluster());
+  EXPECT_THROW(cache.check_invariants(), Error);
+  handle = std::move(stolen);
+  cache.check_invariants();
 }
 
 // -------------------------------------------------- flowsim capacity

@@ -10,10 +10,12 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/random.hpp"
 #include "obs/session.hpp"
 #include "serve/server.hpp"
@@ -124,7 +126,8 @@ TEST(Batcher, OldestHeadWinsAcrossShapes) {
 // ------------------------------------------------------------- plan cache
 
 TEST(ServePlanCache, HitsMissesAndSetupCharge) {
-  PlanCache cache(test_cluster(), /*capacity=*/4);
+  PlanCache cache(std::make_shared<PlanCatalog>(test_cluster()),
+                  /*capacity=*/4);
   PlanCache::Lookup a = cache.acquire(cube(64));
   EXPECT_FALSE(a.hit);
   EXPECT_GT(a.setup_charge, 0) << "miss pays the plan-setup spike";
@@ -137,7 +140,8 @@ TEST(ServePlanCache, HitsMissesAndSetupCharge) {
 }
 
 TEST(ServePlanCache, EvictsAtCapacityAndRecharges) {
-  PlanCache cache(test_cluster(), /*capacity=*/2, /*eviction_window=*/1);
+  PlanCache cache(std::make_shared<PlanCatalog>(test_cluster()),
+                  /*capacity=*/2, /*eviction_window=*/1);
   cache.acquire(cube(32));
   cache.acquire(cube(48));
   cache.acquire(cube(64));  // evicts 32 (window 1 => strict LRU)
@@ -149,7 +153,8 @@ TEST(ServePlanCache, EvictsAtCapacityAndRecharges) {
 }
 
 TEST(ServePlanCache, StrictLruOrderWithWindowOne) {
-  PlanCache cache(test_cluster(), /*capacity=*/2, /*eviction_window=*/1);
+  PlanCache cache(std::make_shared<PlanCatalog>(test_cluster()),
+                  /*capacity=*/2, /*eviction_window=*/1);
   cache.acquire(cube(32));   // [32]
   cache.acquire(cube(48));   // [48, 32]
   cache.acquire(cube(32));   // [32, 48] (hit refreshes recency)
@@ -171,7 +176,8 @@ TEST(ServePlanCache, CostAwareEvictionSparesExpensivePlan) {
   JobShape cheap = cube(64);
   cheap.options.contiguous_fft = true;
 
-  PlanCache cache(test_cluster(), /*capacity=*/2, /*eviction_window=*/2);
+  PlanCache cache(std::make_shared<PlanCatalog>(test_cluster()),
+                  /*capacity=*/2, /*eviction_window=*/2);
   PlanCache::Lookup a = cache.acquire(costly);  // LRU tail
   PlanCache::Lookup b = cache.acquire(cheap);
   ASSERT_GT(a.setup_charge, b.setup_charge);
@@ -179,6 +185,82 @@ TEST(ServePlanCache, CostAwareEvictionSparesExpensivePlan) {
   EXPECT_TRUE(cache.acquire(costly).hit)
       << "the expensive plan must survive despite being least recent";
   EXPECT_EQ(cache.evictions(), 1u);
+}
+
+/// Eviction and crash invalidation drop residency, not prices: the
+/// re-acquired plan is the catalog's handle, re-pays its setup spike in
+/// virtual time without a single new exchange solve, and every answer is
+/// bit-identical to a freshly built handle's.
+TEST(PlanCache, EvictedAndInvalidatedPlansKeepTheirPrices) {
+  PlanCache cache(std::make_shared<PlanCatalog>(test_cluster()),
+                  /*capacity=*/1, /*eviction_window=*/1);
+  const JobShape shape = cube(64);
+  PlanCache::Lookup first = cache.acquire(shape);
+  ServedPlan* plan = first.plan;
+  for (int b = 1; b <= 8; ++b) {
+    plan->exec_time(b, 1.0);
+    plan->exec_time(b, 0.5);
+    plan->profile(b);
+  }
+  const std::uint64_t solves = plan->simulator().counters().exchange_solves;
+  ASSERT_GT(solves, 0u);
+
+  cache.acquire(cube(32));  // evicts the priced plan
+  EXPECT_FALSE(cache.warm(shape));
+  PlanCache::Lookup back = cache.acquire(shape);
+  EXPECT_FALSE(back.hit);
+  EXPECT_EQ(back.plan, plan) << "eviction must not drop the pricing handle";
+  EXPECT_EQ(back.setup_charge, first.setup_charge) << "the miss re-pays setup";
+  EXPECT_EQ(cache.invalidate_all(), 1u);
+  PlanCache::Lookup again = cache.acquire(shape);
+  EXPECT_FALSE(again.hit);
+  EXPECT_EQ(again.plan, plan) << "a crash must not drop the pricing handle";
+  EXPECT_EQ(cache.evictions(), 2u);
+  EXPECT_EQ(cache.invalidations(), 1u);
+  EXPECT_EQ(cache.catalog().size(), 2u);
+  cache.check_invariants();
+
+  struct Query {
+    int batch;
+    bool profile;  // profile() instead of exec_time()
+  };
+  std::vector<Query> queries;
+  for (int b = 1; b <= 8; ++b) {
+    queries.push_back({b, false});
+    queries.push_back({b, true});
+  }
+  Rng rng(20261017);
+  for (double scale : {1.0, 0.5, 1.0}) {
+    std::shuffle(queries.begin(), queries.end(), rng.engine());
+    for (const Query& q : queries) {
+      ServedPlan fresh(shape, test_cluster());
+      const std::string what = "b=" + std::to_string(q.batch) +
+                               " scale=" + std::to_string(scale);
+      if (q.profile) {
+        const core::BatchProfile got = plan->profile(q.batch);
+        const core::BatchProfile want = fresh.profile(q.batch);
+        EXPECT_EQ(got.elems, want.elems) << what;
+        EXPECT_EQ(got.frac, want.frac) << what;
+      } else {
+        EXPECT_EQ(plan->exec_time(q.batch, scale),
+                  fresh.exec_time(q.batch, scale))
+            << what;
+      }
+      EXPECT_EQ(plan->setup_time(), fresh.setup_time()) << what;
+    }
+  }
+  EXPECT_EQ(plan->simulator().counters().exchange_solves, solves)
+      << "every answer after the first pricing must come from the memo";
+}
+
+/// A catalog handle is shared by every shard of a cluster: a pricing that
+/// throws must still restore healthy links.
+TEST(PlanCache, DegradedPricingRestoresHealthyLinksOnThrow) {
+  ServedPlan plan(cube(64), test_cluster());
+  EXPECT_THROW(plan.exec_time(0, 0.5), Error);
+  EXPECT_EQ(plan.simulator().nic_scale(), 1.0);
+  ServedPlan fresh(cube(64), test_cluster());
+  EXPECT_EQ(plan.exec_time(4), fresh.exec_time(4));
 }
 
 // -------------------------------------------------------------- workloads
@@ -603,6 +685,26 @@ TEST(Server, ShapeKeyDistinguishesPlansAndMachines) {
   spock.device = gpu::mi100();
   spock.nranks = 8;
   EXPECT_NE(shape_key(c, cube(64)), shape_key(spock, cube(64)));
+  // Both pricers and both MPI flavors price differently: distinct plans.
+  JobShape seq = cube(64);
+  seq.options.overlap_batches = false;
+  EXPECT_EQ(shape_key(c, seq), shape_key(c, cube(64)) + "|seq");
+  ClusterConfig mvapich = c;
+  mvapich.flavor = net::MpiFlavor::Mvapich;
+  EXPECT_EQ(shape_key(mvapich, cube(64)), shape_key(c, cube(64)) + "|f1");
+  // Keys of the defaults are unchanged, so trace span names are too.
+  EXPECT_EQ(shape_key(c, cube(64)),
+            "64x64x64|r12|d2|MPI_Alltoallv|summit/cuFFT");
+}
+
+TEST(Server, RejectsACatalogOfAnotherCluster) {
+  ServerConfig cfg;
+  cfg.cluster = test_cluster();
+  cfg.shapes = {cube(32)};
+  ClusterConfig other = test_cluster();
+  other.flavor = net::MpiFlavor::Mvapich;
+  EXPECT_THROW(Server(cfg, std::make_shared<PlanCatalog>(other)), Error);
+  EXPECT_NO_THROW(Server(cfg, std::make_shared<PlanCatalog>(test_cluster())));
 }
 
 }  // namespace

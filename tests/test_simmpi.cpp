@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <atomic>
+#include <chrono>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "common/random.hpp"
@@ -43,6 +46,41 @@ TEST(Runtime, PropagatesRankExceptions) {
                  c.barrier();  // other ranks park here and must be aborted
                }),
                Error);
+}
+
+/// A rank that aborts while waiting for its group withdraws its
+/// contribution: a member that enters the collective afterwards must not
+/// complete the group on the departed rank's destroyed stack object, and
+/// the run reports the original failure.
+TEST(Runtime, AbortedArrivalWithdrawsItsContribution) {
+  Runtime rt(small_opts(3));
+  std::atomic<bool> waiting{false}, left{false};
+  try {
+    rt.run([&](Comm& c) {
+      Comm pair = c.create_group({0, 1});
+      if (c.rank() == 2) {
+        while (!waiting.load()) std::this_thread::yield();
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        throw Error("rank two failed");
+      }
+      if (c.rank() == 1)  // enters only after rank 0 has aborted
+        while (!left.load()) std::this_thread::yield();
+      const std::array<int, 4> mine{c.rank(), c.rank(), c.rank(), c.rank()};
+      std::array<int, 8> all{};
+      if (c.rank() == 0) waiting.store(true);
+      try {
+        pair.allgather(mine.data(), sizeof(mine), all.data());
+      } catch (const Error&) {
+        if (c.rank() == 0) left.store(true);
+        throw;
+      }
+      ADD_FAILURE() << "rank " << c.rank()
+                    << " completed a collective its peer had left";
+    });
+    FAIL() << "the rank failure must propagate";
+  } catch (const Error& e) {
+    EXPECT_STREQ(e.what(), "rank two failed");
+  }
 }
 
 TEST(P2P, SendRecvMovesData) {
