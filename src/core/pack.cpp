@@ -53,11 +53,12 @@ template void pack_box_t<double>(const double*, const Box3&, const Box3&,
 template void unpack_box_t<double>(const double*, const Box3&, const Box3&,
                                    double*);
 
-double pack_contiguous_run(const Box3& local, const Box3& region) {
+double pack_contiguous_run(const Box3& local, const Box3& region,
+                           std::size_t elem_bytes) {
   if (region.empty()) return 0;
   // Runs along axis 2; if the region spans the local box's full axis-2
   // extent, consecutive (i0,i1) rows merge into longer runs.
-  double run = static_cast<double>(region.size(2)) * sizeof(cplx);
+  double run = static_cast<double>(region.size(2)) * elem_bytes;
   if (region.size(2) == local.size(2) && region.size(1) == local.size(1))
     run *= static_cast<double>(region.size(1));
   return run;

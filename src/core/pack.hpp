@@ -6,6 +6,7 @@
 /// distinction of paper Figs. 6/7/10). Executed on the CPU; their device
 /// cost comes from gpu::pack_cost.
 
+#include <cstddef>
 #include <vector>
 
 #include "common/types.hpp"
@@ -36,8 +37,10 @@ inline void unpack_box(const cplx* src, const Box3& local,
 }
 
 /// Bytes of the innermost contiguous run a pack of `region` from `local`
-/// copies at a time (coalescing quality for the cost model).
-double pack_contiguous_run(const Box3& local, const Box3& region);
+/// copies at a time (coalescing quality for the cost model), for elements
+/// of `elem_bytes` bytes.
+double pack_contiguous_run(const Box3& local, const Box3& region,
+                           std::size_t elem_bytes = sizeof(cplx));
 
 /// Rearranges a local brick so that global axis `axis` becomes the fastest
 /// (contiguous) dimension: out[line][j]. Line order: remaining axes in

@@ -28,6 +28,111 @@ std::vector<Box3> allgather_boxes(smpi::Comm& comm, const Box3& mine) {
   return boxes;
 }
 
+namespace {
+
+/// Pack half of a packed reshape: packs this rank's outgoing regions into
+/// `sendbuf` (ascending peer, batch-major within a region), charges the
+/// pack kernel and returns its time.
+template <typename T>
+double pack_sends(smpi::Comm& comm, const ReshapePlan& rp, int batch,
+                  const T* in, std::vector<T>& sendbuf) {
+  const int me = comm.rank();
+  const Box3& from = rp.from()[static_cast<std::size_t>(me)];
+  const std::vector<Transfer>& sends = rp.sends(me);
+  sendbuf.resize(static_cast<std::size_t>(rp.max_send_elements(me) * batch));
+  idx_t off = 0;
+  for (const Transfer& t : sends) {
+    const idx_t cnt = t.region.count();
+    for (int b = 0; b < batch; ++b)
+      pack_box_t(in + static_cast<idx_t>(b) * from.count(), from, t.region,
+                 sendbuf.data() + off + static_cast<idx_t>(b) * cnt);
+    off += cnt * batch;
+  }
+  const double t =
+      pack_kernel_time(comm.options().device, from, sends, batch, sizeof(T));
+  comm.advance(t);
+  if (obs::RunTrace* run = comm.trace_run()) {
+    if (t > 0)
+      run->tracer.complete(comm.world_rank(), obs::Category::Pack, "pack",
+                           comm.vtime() - t, t);
+    run->metrics.observe("reshape/fanout", static_cast<double>(sends.size()));
+  }
+  return t;
+}
+
+/// Unpack half: scatters the received regions (laid out as pack_sends
+/// lays them out) into the `batch` bricks `out`, charges the unpack
+/// kernel and returns its time.
+template <typename T>
+double unpack_recvs(smpi::Comm& comm, const ReshapePlan& rp, int batch,
+                    const T* recvbuf, T* out) {
+  const int me = comm.rank();
+  const Box3& to = rp.to()[static_cast<std::size_t>(me)];
+  const std::vector<Transfer>& recvs = rp.recvs(me);
+  idx_t off = 0;
+  for (const Transfer& t : recvs) {
+    const idx_t cnt = t.region.count();
+    for (int b = 0; b < batch; ++b)
+      unpack_box_t(recvbuf + off + static_cast<idx_t>(b) * cnt, to, t.region,
+                   out + static_cast<idx_t>(b) * to.count());
+    off += cnt * batch;
+  }
+  const double t =
+      pack_kernel_time(comm.options().device, to, recvs, batch, sizeof(T));
+  comm.advance(t);
+  if (obs::RunTrace* run = comm.trace_run(); run != nullptr && t > 0)
+    run->tracer.complete(comm.world_rank(), obs::Category::Unpack, "unpack",
+                         comm.vtime() - t, t);
+  return t;
+}
+
+}  // namespace
+
+template <typename T>
+PackedReshapeTimes packed_reshape(smpi::Comm& comm, const ReshapePlan& rp,
+                                  int batch, const T* in, T* out,
+                                  net::CollectiveAlg alg,
+                                  std::vector<T>& sendbuf,
+                                  std::vector<T>& recvbuf) {
+  const int me = comm.rank();
+  const auto R = static_cast<std::size_t>(comm.size());
+  PackedReshapeTimes times;
+  times.pack = pack_sends(comm, rp, batch, in, sendbuf);
+
+  // Byte counts and displacements per peer, in pack order.
+  std::vector<std::size_t> scounts(R, 0), sdispls(R, 0), rcounts(R, 0),
+      rdispls(R, 0);
+  auto layout = [batch](const std::vector<Transfer>& transfers,
+                        std::vector<std::size_t>& counts,
+                        std::vector<std::size_t>& displs) {
+    std::size_t off = 0;
+    for (const Transfer& t : transfers) {
+      const auto peer = static_cast<std::size_t>(t.peer);
+      counts[peer] = static_cast<std::size_t>(t.region.count() * batch) *
+                     sizeof(T);
+      displs[peer] = off;
+      off += counts[peer];
+    }
+  };
+  layout(rp.sends(me), scounts, sdispls);
+  layout(rp.recvs(me), rcounts, rdispls);
+
+  recvbuf.resize(static_cast<std::size_t>(rp.max_recv_elements(me) * batch));
+  const double t0 = comm.vtime();
+  comm.alltoallv(sendbuf.data(), scounts, sdispls, recvbuf.data(), rcounts,
+                 rdispls, smpi::MemSpace::Device, alg);
+  times.comm = comm.vtime() - t0;
+  times.unpack = unpack_recvs(comm, rp, batch, recvbuf.data(), out);
+  return times;
+}
+
+template PackedReshapeTimes packed_reshape<cplx>(
+    smpi::Comm&, const ReshapePlan&, int, const cplx*, cplx*,
+    net::CollectiveAlg, std::vector<cplx>&, std::vector<cplx>&);
+template PackedReshapeTimes packed_reshape<double>(
+    smpi::Comm&, const ReshapePlan&, int, const double*, double*,
+    net::CollectiveAlg, std::vector<double>&, std::vector<double>&);
+
 Plan3D::Plan3D(smpi::Comm& comm, const std::array<int, 3>& n,
                const Box3& inbox, const Box3& outbox, const PlanOptions& opt)
     : comm_(comm), inbox_(inbox), outbox_(outbox),
@@ -180,83 +285,17 @@ void Plan3D::run_reshape(const Stage& stage, int tag_base) {
 
 void Plan3D::run_reshape_collective(const Stage& stage) {
   const ReshapePlan& rp = stage.reshape;
-  const int R = comm_.size();
-  const int me = comm_.rank();
   const int batch = plan_.options.batch;
-  const Box3& from = rp.from()[static_cast<std::size_t>(me)];
-  const Box3& to = rp.to()[static_cast<std::size_t>(me)];
-
-  std::vector<std::size_t> scounts(static_cast<std::size_t>(R), 0),
-      sdispls(static_cast<std::size_t>(R), 0),
-      rcounts(static_cast<std::size_t>(R), 0),
-      rdispls(static_cast<std::size_t>(R), 0);
-
-  // Pack every outgoing region (ascending peer), batch-major per region.
-  sendbuf_.resize(static_cast<std::size_t>(rp.max_send_elements(me) * batch));
-  double pack_t = 0;
-  idx_t off = 0;
-  for (const Transfer& t : rp.sends(me)) {
-    const idx_t cnt = t.region.count();
-    scounts[static_cast<std::size_t>(t.peer)] =
-        static_cast<std::size_t>(cnt * batch) * sizeof(cplx);
-    sdispls[static_cast<std::size_t>(t.peer)] =
-        static_cast<std::size_t>(off) * sizeof(cplx);
-    for (int b = 0; b < batch; ++b)
-      pack_box(work_.data() + static_cast<idx_t>(b) * from.count(), from,
-               t.region, sendbuf_.data() + off + static_cast<idx_t>(b) * cnt);
-    pack_t += gpu::pack_region_cost(
-        dev_, static_cast<double>(cnt * batch) * sizeof(cplx),
-        pack_contiguous_run(from, t.region));
-    off += cnt * batch;
-  }
-  if (!rp.sends(me).empty()) pack_t += dev_.kernel_launch;
-  comm_.advance(pack_t);
-  trace_.add_pack(pack_t);
-  if (obs::RunTrace* run = comm_.trace_run()) {
-    if (pack_t > 0)
-      run->tracer.complete(comm_.world_rank(), obs::Category::Pack, "pack",
-                           comm_.vtime() - pack_t, pack_t);
-    run->metrics.observe("reshape/fanout",
-                         static_cast<double>(rp.sends(me).size()));
-  }
-
-  // Receive displacements (ascending peer).
-  recvbuf_.resize(static_cast<std::size_t>(rp.max_recv_elements(me) * batch));
-  idx_t roff = 0;
-  for (const Transfer& t : rp.recvs(me)) {
-    const idx_t cnt = t.region.count();
-    rcounts[static_cast<std::size_t>(t.peer)] =
-        static_cast<std::size_t>(cnt * batch) * sizeof(cplx);
-    rdispls[static_cast<std::size_t>(t.peer)] =
-        static_cast<std::size_t>(roff) * sizeof(cplx);
-    roff += cnt * batch;
-  }
-
-  const double t0 = comm_.vtime();
-  comm_.alltoallv(sendbuf_.data(), scounts, sdispls, recvbuf_.data(),
-                  rcounts, rdispls, space_, to_alg(plan_.options.backend));
-  trace_.add_comm(backend_name(plan_.options.backend), comm_.vtime() - t0);
-
-  // Unpack into the new layout.
-  work2_.assign(static_cast<std::size_t>(to.count() * batch), cplx{});
-  double unpack_t = 0;
-  idx_t uoff = 0;
-  for (const Transfer& t : rp.recvs(me)) {
-    const idx_t cnt = t.region.count();
-    for (int b = 0; b < batch; ++b)
-      unpack_box(recvbuf_.data() + uoff + static_cast<idx_t>(b) * cnt, to,
-                 t.region, work2_.data() + static_cast<idx_t>(b) * to.count());
-    unpack_t += gpu::pack_region_cost(
-        dev_, static_cast<double>(cnt * batch) * sizeof(cplx),
-        pack_contiguous_run(to, t.region));
-    uoff += cnt * batch;
-  }
-  if (!rp.recvs(me).empty()) unpack_t += dev_.kernel_launch;
-  comm_.advance(unpack_t);
-  trace_.add_unpack(unpack_t);
-  if (obs::RunTrace* run = comm_.trace_run(); run != nullptr && unpack_t > 0)
-    run->tracer.complete(comm_.world_rank(), obs::Category::Unpack, "unpack",
-                         comm_.vtime() - unpack_t, unpack_t);
+  work2_.assign(
+      static_cast<std::size_t>(
+          rp.to()[static_cast<std::size_t>(comm_.rank())].count() * batch),
+      cplx{});
+  const PackedReshapeTimes t =
+      packed_reshape(comm_, rp, batch, work_.data(), work2_.data(),
+                     to_alg(plan_.options.backend), sendbuf_, recvbuf_);
+  trace_.add_pack(t.pack);
+  trace_.add_comm(backend_name(plan_.options.backend), t.comm);
+  trace_.add_unpack(t.unpack);
   work_.swap(work2_);
 }
 
@@ -301,52 +340,20 @@ void Plan3D::run_reshape_p2p(const Stage& stage, int tag_base) {
   const ReshapePlan& rp = stage.reshape;
   const int me = comm_.rank();
   const int batch = plan_.options.batch;
-  const Box3& from = rp.from()[static_cast<std::size_t>(me)];
-  const Box3& to = rp.to()[static_cast<std::size_t>(me)];
   const bool blocking = plan_.options.backend == Backend::P2PBlocking;
 
-  // Pack (same kernels as the collective path).
-  sendbuf_.resize(static_cast<std::size_t>(rp.max_send_elements(me) * batch));
-  std::vector<idx_t> send_off(rp.sends(me).size());
-  double pack_t = 0;
-  idx_t off = 0;
-  for (std::size_t i = 0; i < rp.sends(me).size(); ++i) {
-    const Transfer& t = rp.sends(me)[i];
-    const idx_t cnt = t.region.count();
-    send_off[i] = off;
-    for (int b = 0; b < batch; ++b)
-      pack_box(work_.data() + static_cast<idx_t>(b) * from.count(), from,
-               t.region, sendbuf_.data() + off + static_cast<idx_t>(b) * cnt);
-    pack_t += gpu::pack_region_cost(
-        dev_, static_cast<double>(cnt * batch) * sizeof(cplx),
-        pack_contiguous_run(from, t.region));
-    off += cnt * batch;
-  }
-  if (!rp.sends(me).empty()) pack_t += dev_.kernel_launch;
-  comm_.advance(pack_t);
-  trace_.add_pack(pack_t);
-  if (obs::RunTrace* run = comm_.trace_run()) {
-    if (pack_t > 0)
-      run->tracer.complete(comm_.world_rank(), obs::Category::Pack, "pack",
-                           comm_.vtime() - pack_t, pack_t);
-    run->metrics.observe("reshape/fanout",
-                         static_cast<double>(rp.sends(me).size()));
-  }
+  trace_.add_pack(pack_sends(comm_, rp, batch, work_.data(), sendbuf_));
 
   // Post receives (MPI_Irecv), then sends; data transport is untimed here
   // -- the whole phase is settled with the congestion-aware model below.
   recvbuf_.resize(static_cast<std::size_t>(rp.max_recv_elements(me) * batch));
   std::vector<smpi::Request> reqs;
-  std::vector<idx_t> recv_off(rp.recvs(me).size());
   idx_t roff = 0;
-  idx_t self_recv_off = -1;
-  const Transfer* self_send = nullptr;
-  for (std::size_t i = 0; i < rp.recvs(me).size(); ++i) {
-    const Transfer& t = rp.recvs(me)[i];
+  idx_t self_off = -1;
+  for (const Transfer& t : rp.recvs(me)) {
     const idx_t cnt = t.region.count() * batch;
-    recv_off[i] = roff;
     if (t.peer == me) {
-      self_recv_off = roff;
+      self_off = roff;
     } else {
       reqs.push_back(comm_.irecv(recvbuf_.data() + roff,
                                  static_cast<std::size_t>(cnt) * sizeof(cplx),
@@ -355,33 +362,22 @@ void Plan3D::run_reshape_p2p(const Stage& stage, int tag_base) {
     roff += cnt;
   }
   std::vector<std::pair<int, double>> phase_sends;
-  for (std::size_t i = 0; i < rp.sends(me).size(); ++i) {
-    const Transfer& t = rp.sends(me)[i];
+  idx_t off = 0;
+  for (const Transfer& t : rp.sends(me)) {
     const idx_t cnt = t.region.count() * batch;
-    const double bytes = static_cast<double>(cnt) * sizeof(cplx);
-    phase_sends.push_back({t.peer, bytes});
+    const std::size_t bytes = static_cast<std::size_t>(cnt) * sizeof(cplx);
+    phase_sends.push_back({t.peer, static_cast<double>(bytes)});
     if (t.peer == me) {
-      self_send = &t;
-      continue;
-    }
-    if (blocking) {
-      comm_.send(sendbuf_.data() + send_off[i],
-                 static_cast<std::size_t>(cnt) * sizeof(cplx), t.peer,
-                 tag_base, space_, /*timed=*/false);
+      PARFFT_ASSERT(self_off >= 0);
+      std::memcpy(recvbuf_.data() + self_off, sendbuf_.data() + off, bytes);
+    } else if (blocking) {
+      comm_.send(sendbuf_.data() + off, bytes, t.peer, tag_base, space_,
+                 /*timed=*/false);
     } else {
-      (void)comm_.isend(sendbuf_.data() + send_off[i],
-                        static_cast<std::size_t>(cnt) * sizeof(cplx), t.peer,
-                        tag_base, space_, /*timed=*/false);
+      (void)comm_.isend(sendbuf_.data() + off, bytes, t.peer, tag_base,
+                        space_, /*timed=*/false);
     }
-  }
-  if (self_send != nullptr) {
-    PARFFT_ASSERT(self_recv_off >= 0);
-    std::size_t i = 0;
-    while (rp.sends(me)[i].peer != me) ++i;
-    std::memcpy(recvbuf_.data() + self_recv_off,
-                sendbuf_.data() + send_off[i],
-                static_cast<std::size_t>(self_send->region.count() * batch) *
-                    sizeof(cplx));
+    off += cnt;
   }
   // MPI_Waitany loop until every receive landed.
   while (comm_.waitany(reqs) != -1) {
@@ -390,26 +386,12 @@ void Plan3D::run_reshape_p2p(const Stage& stage, int tag_base) {
       phase_sends, to_alg(plan_.options.backend), space_);
   trace_.add_comm(backend_name(plan_.options.backend), comm_t);
 
-  // Unpack.
-  work2_.assign(static_cast<std::size_t>(to.count() * batch), cplx{});
-  double unpack_t = 0;
-  for (std::size_t i = 0; i < rp.recvs(me).size(); ++i) {
-    const Transfer& t = rp.recvs(me)[i];
-    const idx_t cnt = t.region.count();
-    for (int b = 0; b < batch; ++b)
-      unpack_box(recvbuf_.data() + recv_off[i] + static_cast<idx_t>(b) * cnt,
-                 to, t.region,
-                 work2_.data() + static_cast<idx_t>(b) * to.count());
-    unpack_t += gpu::pack_region_cost(
-        dev_, static_cast<double>(cnt * batch) * sizeof(cplx),
-        pack_contiguous_run(to, t.region));
-  }
-  if (!rp.recvs(me).empty()) unpack_t += dev_.kernel_launch;
-  comm_.advance(unpack_t);
-  trace_.add_unpack(unpack_t);
-  if (obs::RunTrace* run = comm_.trace_run(); run != nullptr && unpack_t > 0)
-    run->tracer.complete(comm_.world_rank(), obs::Category::Unpack, "unpack",
-                         comm_.vtime() - unpack_t, unpack_t);
+  work2_.assign(
+      static_cast<std::size_t>(
+          rp.to()[static_cast<std::size_t>(me)].count() * batch),
+      cplx{});
+  trace_.add_unpack(
+      unpack_recvs(comm_, rp, batch, recvbuf_.data(), work2_.data()));
   work_.swap(work2_);
 }
 

@@ -92,4 +92,24 @@ class Plan3D {
 /// Convenience: gathers every rank's box (collective).
 std::vector<Box3> allgather_boxes(smpi::Comm& comm, const Box3& mine);
 
+/// Virtual seconds one packed reshape charged on the calling rank.
+struct PackedReshapeTimes {
+  double pack = 0, comm = 0, unpack = 0;
+};
+
+/// Algorithm 1's packed reshape on this rank: packs each region this rank
+/// sends under `rp` (ascending peer, batch-major within a region) out of
+/// `batch` local bricks `in` into `sendbuf`, exchanges with
+/// Comm::alltoallv over device memory under `alg`, and unpacks into the
+/// `batch` bricks `out` (not cleared first). Both kernels are charged to
+/// the clock with pack_kernel_time; with tracing on, the pack and unpack
+/// spans and `reshape/fanout` are recorded. Collective. Instantiated for
+/// cplx and double.
+template <typename T>
+PackedReshapeTimes packed_reshape(smpi::Comm& comm, const ReshapePlan& rp,
+                                  int batch, const T* in, T* out,
+                                  net::CollectiveAlg alg,
+                                  std::vector<T>& sendbuf,
+                                  std::vector<T>& recvbuf);
+
 }  // namespace parfft::core

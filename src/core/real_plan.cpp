@@ -1,9 +1,6 @@
 #include "core/real_plan.hpp"
 
-#include <cstring>
-
 #include "common/error.hpp"
-#include "core/pack.hpp"
 #include "core/simulate.hpp"
 
 namespace parfft::core {
@@ -80,74 +77,20 @@ RealPlan3D::RealPlan3D(smpi::Comm& comm, const std::array<int, 3>& n,
 
 void RealPlan3D::exchange_real(const ReshapePlan& rp, const double* in,
                                double* out) {
-  const int R = comm_.size();
-  const int me = comm_.rank();
-  const Box3& from = rp.from()[static_cast<std::size_t>(me)];
-  const Box3& to = rp.to()[static_cast<std::size_t>(me)];
   // The real stage supports the collective data paths; P2P and datatype
   // backends fall back to Alltoallv here (heFFTe's r2c does the same:
   // the first reshape is always a packed exchange).
   const net::CollectiveAlg alg = opt_.backend == Backend::Alltoall
                                      ? net::CollectiveAlg::Alltoall
                                      : net::CollectiveAlg::Alltoallv;
-
-  std::vector<std::size_t> scounts(static_cast<std::size_t>(R), 0),
-      sdispls(static_cast<std::size_t>(R), 0),
-      rcounts(static_cast<std::size_t>(R), 0),
-      rdispls(static_cast<std::size_t>(R), 0);
-  std::vector<double> sendbuf(static_cast<std::size_t>(rp.max_send_elements(me)));
-  std::vector<double> recvbuf(static_cast<std::size_t>(rp.max_recv_elements(me)));
-
-  double pack_t = 0;
-  idx_t off = 0;
-  for (const Transfer& t : rp.sends(me)) {
-    const idx_t cnt = t.region.count();
-    scounts[static_cast<std::size_t>(t.peer)] =
-        static_cast<std::size_t>(cnt) * sizeof(double);
-    sdispls[static_cast<std::size_t>(t.peer)] =
-        static_cast<std::size_t>(off) * sizeof(double);
-    pack_box_t(in, from, t.region, sendbuf.data() + off);
-    pack_t += gpu::pack_region_cost(dev_,
-                                    static_cast<double>(cnt) * sizeof(double),
-                                    pack_contiguous_run(from, t.region) / 2);
-    off += cnt;
-  }
-  if (!rp.sends(me).empty()) pack_t += dev_.kernel_launch;
-  comm_.advance(pack_t);
-  trace_.add_pack(pack_t);
-  leaf_span(comm_, obs::Category::Pack, "pack", pack_t);
-
-  idx_t roff = 0;
-  for (const Transfer& t : rp.recvs(me)) {
-    const idx_t cnt = t.region.count();
-    rcounts[static_cast<std::size_t>(t.peer)] =
-        static_cast<std::size_t>(cnt) * sizeof(double);
-    rdispls[static_cast<std::size_t>(t.peer)] =
-        static_cast<std::size_t>(roff) * sizeof(double);
-    roff += cnt;
-  }
-
-  const double t0 = comm_.vtime();
-  comm_.alltoallv(sendbuf.data(), scounts, sdispls, recvbuf.data(), rcounts,
-                  rdispls, smpi::MemSpace::Device, alg);
+  std::vector<double> sendbuf, recvbuf;
+  const PackedReshapeTimes t =
+      packed_reshape(comm_, rp, 1, in, out, alg, sendbuf, recvbuf);
+  trace_.add_pack(t.pack);
   trace_.add_comm(alg == net::CollectiveAlg::Alltoall ? "MPI_Alltoall"
                                                       : "MPI_Alltoallv",
-                  comm_.vtime() - t0);
-
-  double unpack_t = 0;
-  idx_t uoff = 0;
-  for (const Transfer& t : rp.recvs(me)) {
-    const idx_t cnt = t.region.count();
-    unpack_box_t(recvbuf.data() + uoff, to, t.region, out);
-    unpack_t += gpu::pack_region_cost(
-        dev_, static_cast<double>(cnt) * sizeof(double),
-        pack_contiguous_run(to, t.region) / 2);
-    uoff += cnt;
-  }
-  if (!rp.recvs(me).empty()) unpack_t += dev_.kernel_launch;
-  comm_.advance(unpack_t);
-  trace_.add_unpack(unpack_t);
-  leaf_span(comm_, obs::Category::Unpack, "unpack", unpack_t);
+                  t.comm);
+  trace_.add_unpack(t.unpack);
 }
 
 void RealPlan3D::forward(const double* in, cplx* out) {

@@ -34,20 +34,6 @@ std::vector<int> identity_group(int nranks) {
   return group;
 }
 
-/// GPU kernel time to pack (or unpack) `transfers` of `b` batch elements
-/// out of (into) `box`: one strided region copy per transfer plus one
-/// launch when there is anything to move.
-double pack_kernel_time(const gpu::DeviceSpec& device, const Box3& box,
-                        const std::vector<Transfer>& transfers, int b) {
-  double t = 0;
-  for (const Transfer& tr : transfers)
-    t += gpu::pack_region_cost(
-        device, static_cast<double>(tr.region.count() * b) * sizeof(cplx),
-        pack_contiguous_run(box, tr.region));
-  if (!transfers.empty()) t += device.kernel_launch;
-  return t;
-}
-
 /// The one reshape pricing formula, shared by the memo and the traced
 /// sequential pass. `stats`, when non-null, receives the exchange's
 /// per-link utilization.
@@ -73,18 +59,23 @@ ReshapeCost price_reshape(const StagePlan& plan, const ReshapePlan& rp, int b,
   return rc;
 }
 
-/// One simulated execution pass over the stages, advancing `clocks`.
-/// Untraced passes read reshape costs from `memo`; a traced pass prices
-/// each reshape once itself, because it also needs the exchange's link
-/// statistics and calibration.
+/// Sequential execution passes over the stages of `plan` for chunks of
+/// `batch` elements, advancing one clock per rank from zero. Untraced
+/// passes read reshape costs from `memo`; a traced pass prices each
+/// reshape once itself, because it also needs the exchange's link
+/// statistics and calibration. Without `warmed`, each rank's first
+/// transform pays the FFT plan-setup spikes of its own plan cache.
 class StageRunner {
  public:
   StageRunner(const SimConfig& cfg, const StagePlan& plan,
               const net::CommCost& cost, StageCostMemo& memo,
-              SimReport& report, std::vector<gpu::PlanCache>& caches,
-              std::vector<double>& clocks, obs::RunTrace* run)
+              SimReport& report, int batch, bool warmed, obs::RunTrace* run)
       : cfg_(cfg), plan_(plan), cost_(cost), memo_(memo), report_(report),
-        caches_(caches), clocks_(clocks), run_(run) {}
+        batch_(batch), warmed_(warmed), run_(run),
+        caches_(warmed ? 0 : static_cast<std::size_t>(plan.nranks)),
+        clocks_(static_cast<std::size_t>(plan.nranks), 0.0) {}
+
+  const std::vector<double>& clocks() const { return clocks_; }
 
   void run_transform() {
     if (run_ != nullptr)
@@ -130,19 +121,17 @@ class StageRunner {
     if (slot) return *slot;
     slot = std::make_unique<TracedReshape>();
     TracedReshape& tr = *slot;
-    const int batch = plan_.options.batch;
-    tr.cost = price_reshape(plan_, s.reshape, batch, cfg_.device, cost_,
+    tr.cost = price_reshape(plan_, s.reshape, batch_, cfg_.device, cost_,
                             mode(), cfg_.flavor,
                             identity_group(plan_.nranks), &tr.stats);
-    calibrate_exchange(s.reshape, batch, tr);
+    calibrate_exchange(s.reshape, tr);
     return tr;
   }
 
   /// Measures the busiest sender's traffic and the uncontended (B, L)
   /// pair for this exchange. Read-only over the fabric: single_flow_time
   /// and point_to_point are const, so tracing never perturbs the run.
-  void calibrate_exchange(const ReshapePlan& rp, int batch,
-                          TracedReshape& rc) {
+  void calibrate_exchange(const ReshapePlan& rp, TracedReshape& rc) {
     int busiest = -1, busiest_peer = -1;
     for (int r = 0; r < plan_.nranks; ++r) {
       double sent = 0;
@@ -150,7 +139,7 @@ class StageRunner {
       for (const Transfer& tr : rp.sends(r)) {
         if (tr.peer == r) continue;  // local copy, not a message
         sent +=
-            static_cast<double>(tr.region.count() * batch) * sizeof(cplx);
+            static_cast<double>(tr.region.count() * batch_) * sizeof(cplx);
         ++msgs;
         if (peer < 0) peer = tr.peer;
       }
@@ -180,8 +169,8 @@ class StageRunner {
     const ReshapeCost& rc =
         traced != nullptr
             ? traced->cost
-            : memo_.reshape(plan_, stage, plan_.options.batch, cfg_.device,
-                            cost_, mode(), cfg_.flavor);
+            : memo_.reshape(plan_, stage, batch_, cfg_.device, cost_, mode(),
+                            cfg_.flavor);
     // The datatype backend packs inside MPI: no GPU pack or unpack here
     // (the overlapped pipeline charges them; see ReshapeCost).
     const bool gpu_pack = !backend_is_datatype(plan_.options.backend);
@@ -238,12 +227,11 @@ class StageRunner {
   void record_reshape_obs(const Stage& s, const TracedReshape& rc,
                           double base) {
     const ReshapePlan& rp = s.reshape;
-    const int batch = plan_.options.batch;
     for (int r = 0; r < plan_.nranks; ++r) {
       double sent = 0;
       for (const Transfer& tr : rp.sends(r)) {
         const double b =
-            static_cast<double>(tr.region.count() * batch) * sizeof(cplx);
+            static_cast<double>(tr.region.count() * batch_) * sizeof(cplx);
         sent += b;
         run_->metrics.observe("reshape/message_bytes", b);
       }
@@ -292,7 +280,6 @@ class StageRunner {
   }
 
   void run_fft(const Stage& s) {
-    const int batch = plan_.options.batch;
     for (int axis : s.axes) {
       double max_fft = 0, max_pack = 0;
       bool any_strided = false;
@@ -300,21 +287,21 @@ class StageRunner {
         const Box3& box = s.boxes[static_cast<std::size_t>(r)];
         if (box.empty()) continue;
         const int len = static_cast<int>(box.size(axis));
-        const int lines = static_cast<int>(box.count() / len) * batch;
+        const int lines = static_cast<int>(box.count() / len) * batch_;
         const bool contiguous =
             axis == 2 || plan_.options.contiguous_fft;
         // Each rank owns its FFT plans (as each GPU owns cuFFT handles);
         // the first call with a new layout pays the plan-setup spike
         // unless the config declares the plans pre-warmed.
         const double t =
-            (cfg_.warmed || !first_transform_)
+            (warmed_ || !first_transform_)
                 ? gpu::fft_cost(cfg_.device, len, lines, !contiguous)
                 : caches_[static_cast<std::size_t>(r)].fft_call(
                       cfg_.device, len, lines, !contiguous);
         if (axis != 2 && plan_.options.contiguous_fft) {
           // Reorder path: two local transposes around the contiguous FFT.
           const double bytes =
-              static_cast<double>(box.count()) * batch * sizeof(cplx);
+              static_cast<double>(box.count()) * batch_ * sizeof(cplx);
           const double p =
               2.0 * gpu::pack_cost(cfg_.device, bytes, sizeof(cplx));
           if (run_ != nullptr && p > 0)
@@ -350,14 +337,28 @@ class StageRunner {
   const net::CommCost& cost_;
   StageCostMemo& memo_;
   SimReport& report_;
-  std::vector<gpu::PlanCache>& caches_;
-  std::vector<double>& clocks_;
+  int batch_;
+  bool warmed_;
   obs::RunTrace* run_;  ///< nullptr when tracing is off
+  std::vector<gpu::PlanCache> caches_;  ///< per rank; empty when warmed
+  std::vector<double> clocks_;          ///< per rank
   std::vector<std::unique_ptr<TracedReshape>> traced_;  ///< per stage
   bool first_transform_ = true;
 };
 
 }  // namespace
+
+double pack_kernel_time(const gpu::DeviceSpec& device, const Box3& box,
+                        const std::vector<Transfer>& transfers, int b,
+                        std::size_t elem_bytes) {
+  double t = 0;
+  for (const Transfer& tr : transfers)
+    t += gpu::pack_region_cost(
+        device, static_cast<double>(tr.region.count() * b) * elem_bytes,
+        pack_contiguous_run(box, tr.region, elem_bytes));
+  if (!transfers.empty()) t += device.kernel_launch;
+  return t;
+}
 
 int BatchProfile::delivered(double work) const {
   int done = 0;
@@ -508,60 +509,9 @@ double overlapped_batch_time(const StagePlan& plan,
 
 SimReport simulate(const SimConfig& cfg) {
   PARFFT_CHECK(cfg.repeats >= 1, "repeats must be positive");
-  SimConfig c = cfg;
-  if (c.in_boxes.empty()) c.in_boxes = brick_layout(c.n, c.nranks);
-  if (c.out_boxes.empty()) c.out_boxes = c.in_boxes;
-  PARFFT_CHECK(static_cast<int>(c.in_boxes.size()) == c.nranks &&
-                   static_cast<int>(c.out_boxes.size()) == c.nranks,
-               "box layouts must have one entry per rank");
-
-  const StagePlan plan = build_stages(c.n, c.nranks, c.in_boxes, c.out_boxes,
-                                      c.options, c.machine);
-  const net::RankMap map{c.machine.gpus_per_node};
-  const net::CommCost cost(c.machine, map, c.nranks);
-
-  SimReport report;
-  report.resolved = plan.resolved;
-  report.reshapes_per_transform = plan.reshape_count();
-
-  if (plan.options.batch > 1 && plan.options.overlap_batches) {
-    const double t =
-        overlapped_batch_time(plan, c.device, cost, transfer_mode(c),
-                              c.flavor, plan.options.batch);
-    report.total = t * c.repeats;
-    report.per_transform = t / plan.options.batch;
-    report.rank_times.assign(static_cast<std::size_t>(c.nranks),
-                             report.total);
-    return report;
-  }
-
-  std::vector<double> clocks(static_cast<std::size_t>(c.nranks), 0.0);
-  std::vector<gpu::PlanCache> caches(
-      c.warmed ? 0 : static_cast<std::size_t>(c.nranks));
-  // One RunTrace per simulate() call (nullptr when tracing is off); the
-  // overlapped-batch path above is aggregate-only and is never traced.
-  obs::RunTrace* run = obs::Session::global().begin_run(
-      "simulate " + std::to_string(c.n[0]) + "x" + std::to_string(c.n[1]) +
-          "x" + std::to_string(c.n[2]) + " " + std::to_string(c.nranks) +
-          " ranks",
-      c.nranks, c.options.trace);
-  StageCostMemo memo;
-  StageRunner runner(c, plan, cost, memo, report, caches, clocks, run);
-  for (int rep = 0; rep < c.repeats; ++rep) runner.run_transform();
-
-  report.rank_times = clocks;
-  report.total = *std::max_element(clocks.begin(), clocks.end());
-  report.per_transform =
-      report.total / (static_cast<double>(c.repeats) * plan.options.batch);
-  // Kernel categories accumulated over all repeats; normalize to one
-  // transform for reporting.
-  const double inv = 1.0 / c.repeats;
-  report.kernels.fft *= inv;
-  report.kernels.pack *= inv;
-  report.kernels.unpack *= inv;
-  report.kernels.comm *= inv;
-  report.kernels.scale *= inv;
-  return report;
+  Simulator sim(cfg);
+  return sim.run(cfg.options.batch, cfg.repeats, cfg.warmed,
+                 /*traced=*/true);
 }
 
 namespace {
@@ -584,20 +534,49 @@ Simulator::Simulator(SimConfig cfg)
       map_{cfg_.machine.gpus_per_node},
       cost_(cfg_.machine, map_, cfg_.nranks) {}
 
-double Simulator::run_once(int batch, bool cold) {
-  SimConfig c = cfg_;
-  c.options.batch = batch;
-  c.warmed = !cold;
-  StagePlan p = plan_;
-  p.options.batch = batch;
-  SimReport scratch;
-  std::vector<double> clocks(static_cast<std::size_t>(cfg_.nranks), 0.0);
-  std::vector<gpu::PlanCache> caches(
-      cold ? static_cast<std::size_t>(cfg_.nranks) : 0);
-  StageRunner runner(c, p, cost_, stage_costs_, scratch, caches, clocks,
-                     nullptr);
-  runner.run_transform();
-  return *std::max_element(clocks.begin(), clocks.end());
+SimReport Simulator::run(int batch, int repeats, bool warmed, bool traced) {
+  SimReport report;
+  report.resolved = plan_.resolved;
+  report.reshapes_per_transform = plan_.reshape_count();
+
+  if (overlapped(batch)) {
+    // Aggregate-only: the pipelined schedule is never traced and models
+    // warm FFT plans.
+    const double t = schedule(batch).total;
+    report.total = t * repeats;
+    report.per_transform = t / batch;
+    report.rank_times.assign(static_cast<std::size_t>(cfg_.nranks),
+                             report.total);
+    return report;
+  }
+
+  // One RunTrace per traced run (nullptr when tracing is off).
+  obs::RunTrace* run =
+      traced ? obs::Session::global().begin_run(
+                   "simulate " + std::to_string(cfg_.n[0]) + "x" +
+                       std::to_string(cfg_.n[1]) + "x" +
+                       std::to_string(cfg_.n[2]) + " " +
+                       std::to_string(cfg_.nranks) + " ranks",
+                   cfg_.nranks, cfg_.options.trace)
+             : nullptr;
+  StageRunner runner(cfg_, plan_, cost_, stage_costs_, report, batch, warmed,
+                     run);
+  for (int rep = 0; rep < repeats; ++rep) runner.run_transform();
+
+  report.rank_times = runner.clocks();
+  report.total =
+      *std::max_element(report.rank_times.begin(), report.rank_times.end());
+  report.per_transform =
+      report.total / (static_cast<double>(repeats) * batch);
+  // Kernel categories accumulated over all repeats; normalize to one
+  // transform for reporting.
+  const double inv = 1.0 / repeats;
+  report.kernels.fft *= inv;
+  report.kernels.pack *= inv;
+  report.kernels.unpack *= inv;
+  report.kernels.comm *= inv;
+  report.kernels.scale *= inv;
+  return report;
 }
 
 const Simulator::Schedule& Simulator::schedule(int batch) {
@@ -613,12 +592,10 @@ const Simulator::Schedule& Simulator::schedule(int batch) {
 
 double Simulator::transform_time(int batch, bool cold) {
   PARFFT_CHECK(batch >= 1, "batch must be positive");
-  if (overlapped(batch)) return schedule(batch).total;
   const std::tuple<double, int, bool> key{nic_scale(), batch, cold};
   if (auto it = times_.find(key); it != times_.end()) return it->second;
-  const double t = run_once(batch, cold);
-  times_.emplace(key, t);
-  return t;
+  return times_.emplace(key, run(batch, 1, !cold, /*traced=*/false).total)
+      .first->second;
 }
 
 double Simulator::plan_setup_time() {

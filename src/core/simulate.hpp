@@ -9,7 +9,8 @@
 /// through pack / FFT / exchange stages, so the strong-scaling and
 /// per-call-trace experiments are cheap and deterministic. A consistency
 /// test asserts that simulate() and Plan3D::execute() agree on small
-/// configurations.
+/// configurations. simulate() is a traced run of a Simulator, so both
+/// entry points price a transform through one code path.
 
 #include <array>
 #include <cstdint>
@@ -57,8 +58,20 @@ struct SimReport {
   int reshapes_per_transform = 0;
 };
 
-/// Builds the stage plan for `cfg` and runs the virtual-time simulation.
+/// Builds a Simulator for `cfg` and runs `cfg.repeats` transforms of
+/// `cfg.options.batch` through it, traced when tracing is on (each call
+/// is one obs run). The overlapped batch pipeline is aggregate-only: it
+/// returns the schedule's time without spans or per-call records.
 SimReport simulate(const SimConfig& cfg);
+
+/// The one GPU pack formula: kernel time to pack (or unpack) `transfers`
+/// of `b` batch elements of `elem_bytes` each out of (into) `box`, one
+/// strided region copy per transfer plus one launch when there is
+/// anything to move. Every packed reshape (Plan3D, RealPlan3D,
+/// distributed_reshape) and every pricer charges it.
+double pack_kernel_time(const gpu::DeviceSpec& device, const Box3& box,
+                        const std::vector<Transfer>& transfers, int b,
+                        std::size_t elem_bytes = sizeof(cplx));
 
 /// Cumulative delivery profile of one batched transform under the Fig. 13
 /// sub-chunk pipeline: after `frac[i]` of the transform's execution time,
@@ -98,6 +111,15 @@ struct PricingCounters {
 /// So a batched, overlapped Alltoallw transform pays GPU packing that
 /// its sequential counterpart does not. Making them agree would move
 /// published virtual-time results.
+///
+/// Known approximation: the overlapped pipeline charges no reorder
+/// transposes. For a contiguous_fft plan its FFT stages cost
+/// fft_cost(..., strided = false) alone, while the sequential pass and
+/// the threaded Plan3D::run_fft charge two pack_cost transposes around
+/// every axis but axis 2. No figure, sweep or pinned row prices a
+/// contiguous_fft plan in overlapped batches: fig06, fig07, fig10 and
+/// perf_baseline run batch 1, and every serve and fig13 shape keeps
+/// contiguous_fft = false.
 struct ReshapeCost {
   std::vector<double> pack, unpack;  ///< per rank
   double max_pack = 0, max_unpack = 0;
@@ -171,7 +193,8 @@ double overlapped_batch_time(const StagePlan& plan,
 /// every overlapped schedule candidate read one StageCostMemo, and both
 /// whole-transform answers are memoized per nic scale on top of it.
 ///
-/// Not traced: callers (src/serve) record their own request-scoped spans.
+/// The pricing methods are not traced: callers (src/serve) record their
+/// own request-scoped spans. simulate() runs the same pass traced.
 class Simulator {
  public:
   /// Normalizes `cfg` (default brick layouts) and builds the plan.
@@ -217,10 +240,16 @@ class Simulator {
     BatchProfile profile;
   };
 
+  friend SimReport simulate(const SimConfig& cfg);
+
   bool overlapped(int batch) const {
     return batch > 1 && cfg_.options.overlap_batches;
   }
-  double run_once(int batch, bool cold);
+  /// `repeats` transforms of `batch` elements at the current nic scale:
+  /// the overlapped schedule, or sequential passes over the stages that
+  /// charge cold FFT plans unless `warmed` and record spans when `traced`
+  /// and tracing is on. Kernel times are per transform.
+  SimReport run(int batch, int repeats, bool warmed, bool traced);
   const Schedule& schedule(int batch);
 
   SimConfig cfg_;
@@ -228,7 +257,7 @@ class Simulator {
   net::RankMap map_;
   net::CommCost cost_;
   StageCostMemo stage_costs_;
-  /// Sequential-pass times keyed on (nic scale, batch, cold).
+  /// transform_time() answers keyed on (nic scale, batch, cold).
   std::map<std::tuple<double, int, bool>, double> times_;
   /// Overlapped schedules keyed on (nic scale, batch).
   std::map<std::pair<double, int>, Schedule> schedules_;

@@ -1,7 +1,6 @@
 #include "core/spectral.hpp"
 
 #include "common/error.hpp"
-#include "core/pack.hpp"
 
 namespace parfft::core {
 
@@ -40,53 +39,10 @@ void distributed_reshape(smpi::Comm& comm, const Box3& from, const Box3& to,
   const auto from_all = allgather_boxes(comm, from);
   const auto to_all = allgather_boxes(comm, to);
   const ReshapePlan rp = ReshapePlan::create(from_all, to_all);
-  const int me = comm.rank();
-  const int R = comm.size();
-  const gpu::DeviceSpec& dev = comm.options().device;
-
-  std::vector<std::size_t> scounts(static_cast<std::size_t>(R), 0),
-      sdispls(static_cast<std::size_t>(R), 0),
-      rcounts(static_cast<std::size_t>(R), 0),
-      rdispls(static_cast<std::size_t>(R), 0);
-  std::vector<cplx> sendbuf(static_cast<std::size_t>(rp.max_send_elements(me)));
-  std::vector<cplx> recvbuf(static_cast<std::size_t>(rp.max_recv_elements(me)));
-
-  double pack_t = 0;
-  idx_t off = 0;
-  for (const Transfer& t : rp.sends(me)) {
-    const idx_t cnt = t.region.count();
-    scounts[static_cast<std::size_t>(t.peer)] = static_cast<std::size_t>(cnt) * sizeof(cplx);
-    sdispls[static_cast<std::size_t>(t.peer)] = static_cast<std::size_t>(off) * sizeof(cplx);
-    pack_box(in.data(), from, t.region, sendbuf.data() + off);
-    pack_t += gpu::pack_region_cost(dev, static_cast<double>(cnt) * sizeof(cplx),
-                                    pack_contiguous_run(from, t.region));
-    off += cnt;
-  }
-  if (!rp.sends(me).empty()) pack_t += dev.kernel_launch;
-  comm.advance(pack_t);
-
-  idx_t roff = 0;
-  for (const Transfer& t : rp.recvs(me)) {
-    const idx_t cnt = t.region.count();
-    rcounts[static_cast<std::size_t>(t.peer)] = static_cast<std::size_t>(cnt) * sizeof(cplx);
-    rdispls[static_cast<std::size_t>(t.peer)] = static_cast<std::size_t>(roff) * sizeof(cplx);
-    roff += cnt;
-  }
-  comm.alltoallv(sendbuf.data(), scounts, sdispls, recvbuf.data(), rcounts,
-                 rdispls, smpi::MemSpace::Device, to_alg(backend));
-
   out.assign(static_cast<std::size_t>(to.count()), cplx{});
-  double unpack_t = 0;
-  idx_t uoff = 0;
-  for (const Transfer& t : rp.recvs(me)) {
-    const idx_t cnt = t.region.count();
-    unpack_box(recvbuf.data() + uoff, to, t.region, out.data());
-    unpack_t += gpu::pack_region_cost(dev, static_cast<double>(cnt) * sizeof(cplx),
-                                      pack_contiguous_run(to, t.region));
-    uoff += cnt;
-  }
-  if (!rp.recvs(me).empty()) unpack_t += dev.kernel_launch;
-  comm.advance(unpack_t);
+  std::vector<cplx> sendbuf, recvbuf;
+  packed_reshape(comm, rp, 1, in.data(), out.data(), to_alg(backend), sendbuf,
+                 recvbuf);
 }
 
 }  // namespace parfft::core

@@ -385,19 +385,8 @@ void Comm::allreduce(T* data, int count, Op op) {
         std::copy(first, first + count, acc.begin());
         for (std::size_t r = 1; r < all.size(); ++r) {
           const T* q = static_cast<const C*>(all[r])->p;
-          for (int i = 0; i < count; ++i) {
-            switch (op) {
-              case Op::Sum: acc[static_cast<std::size_t>(i)] += q[i]; break;
-              case Op::Max:
-                acc[static_cast<std::size_t>(i)] =
-                    std::max(acc[static_cast<std::size_t>(i)], q[i]);
-                break;
-              case Op::Min:
-                acc[static_cast<std::size_t>(i)] =
-                    std::min(acc[static_cast<std::size_t>(i)], q[i]);
-                break;
-            }
-          }
+          for (int i = 0; i < count; ++i)
+            detail::combine(acc[static_cast<std::size_t>(i)], q[i], op);
         }
         for (const void* c : all)
           std::copy(acc.begin(), acc.end(), static_cast<const C*>(c)->p);

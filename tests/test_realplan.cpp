@@ -3,14 +3,20 @@
 // trips with scaling, and 2-D transform support in the stage builder.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "common/error.hpp"
 #include "common/random.hpp"
 #include "core/pack.hpp"
 #include "core/real_plan.hpp"
 #include "core/simulate.hpp"
+#include "core/spectral.hpp"
 #include "fft/many.hpp"
 #include "fft/real.hpp"
 #include "fft/reference.hpp"
+#include "obs/session.hpp"
 
 namespace parfft::core {
 namespace {
@@ -204,6 +210,171 @@ TEST(Fft2dDistributed, RejectsTooManyRanks) {
                              PlanOptions{});
                }),
                Error);
+}
+
+// The pack formula restated independently of the library: per transfer,
+// one fused region copy of count * batch elements whose innermost
+// contiguous run spans whole rows when the region covers the local box's
+// last two extents, plus one launch when anything moves.
+double oracle_pack_time(const gpu::DeviceSpec& dev, const Box3& box,
+                        const std::vector<Transfer>& transfers, int batch,
+                        double elem_bytes) {
+  double t = 0;
+  for (const Transfer& tr : transfers) {
+    const Box3& g = tr.region;
+    double run = g.empty() ? 0.0 : static_cast<double>(g.size(2)) * elem_bytes;
+    if (g.size(2) == box.size(2) && g.size(1) == box.size(1))
+      run *= static_cast<double>(g.size(1));
+    t += gpu::pack_region_cost(
+        dev, static_cast<double>(g.count() * batch) * elem_bytes, run);
+  }
+  if (!transfers.empty()) t += dev.kernel_launch;
+  return t;
+}
+
+/// Durations of one rank's spans called `name`, in emission order.
+std::vector<double> span_durations(const obs::RunTrace& run, int rank,
+                                   const std::string& name) {
+  std::vector<double> out;
+  for (const obs::Span& s : run.tracer.spans(rank))
+    if (s.name == name) out.push_back(s.dur);
+  return out;
+}
+
+// Every packed reshape -- Plan3D's collective and P2P paths at batch 1
+// and 3, RealPlan3D's real stage and the standalone distributed_reshape --
+// charges each pack and unpack kernel exactly as the oracle above prices
+// it, bit for bit, on every rank.
+TEST(Reshape, EveryPackedPathChargesThePackFormula) {
+  constexpr int kRanks = 6;
+  const std::array<int, 3> n = {12, 10, 8};
+  smpi::RuntimeOptions ro;
+  ro.nranks = kRanks;
+  ro.trace.enabled = true;
+  const gpu::DeviceSpec dev = ro.device;
+  smpi::Runtime rt(ro);
+  const auto last_run = [] { return obs::Session::global().runs().back(); };
+  const auto bricks = brick_layout(n, kRanks);
+  const auto zpencils = grid_boxes(n, pencil_grid(kRanks, 2), kRanks);
+  const auto kept = [](std::vector<double> v) {  // zero charges emit no span
+    std::erase(v, 0.0);
+    return v;
+  };
+
+  for (Backend backend : {Backend::Alltoallv, Backend::P2PNonBlocking}) {
+    for (int batch : {1, 3}) {
+      SCOPED_TRACE(std::string(backend_name(backend)) +
+                   " batch=" + std::to_string(batch));
+      std::vector<std::vector<double>> pack(kRanks), unpack(kRanks);
+      rt.run([&](smpi::Comm& c) {
+        const int me = c.rank();
+        const Box3& box = bricks[static_cast<std::size_t>(me)];
+        PlanOptions opt;
+        opt.backend = backend;
+        opt.batch = batch;
+        Plan3D plan(c, n, box, box, opt);
+        Rng rng(5 + static_cast<std::uint64_t>(me));
+        const auto in =
+            rng.complex_vector(static_cast<std::size_t>(plan.input_elements()));
+        std::vector<cplx> out(static_cast<std::size_t>(plan.output_elements()));
+        plan.execute(in.data(), out.data(), dft::Direction::Forward);
+        for (const Stage& s : plan.stage_plan().stages) {
+          if (s.kind != Stage::Kind::Reshape) continue;
+          const ReshapePlan& rp = s.reshape;
+          pack[static_cast<std::size_t>(me)].push_back(oracle_pack_time(
+              dev, rp.from()[static_cast<std::size_t>(me)], rp.sends(me),
+              batch, sizeof(cplx)));
+          unpack[static_cast<std::size_t>(me)].push_back(oracle_pack_time(
+              dev, rp.to()[static_cast<std::size_t>(me)], rp.recvs(me), batch,
+              sizeof(cplx)));
+        }
+      });
+      const obs::RunTrace& run = *last_run();
+      for (int r = 0; r < kRanks; ++r) {
+        SCOPED_TRACE("rank " + std::to_string(r));
+        const auto ur = static_cast<std::size_t>(r);
+        EXPECT_FALSE(pack[ur].empty());
+        EXPECT_EQ(span_durations(run, r, "pack"), kept(pack[ur]));
+        EXPECT_EQ(span_durations(run, r, "unpack"), kept(unpack[ur]));
+      }
+    }
+  }
+
+  {
+    SCOPED_TRACE("RealPlan3D real stage");
+    // The real stage is the first reshape of forward() and the last of
+    // backward(); it moves doubles.
+    const ReshapePlan fwd = ReshapePlan::create(bricks, zpencils);
+    const ReshapePlan bwd = ReshapePlan::create(zpencils, bricks);
+    const auto nc = RealPlan3D::spectrum_dims(n);
+    rt.run([&](smpi::Comm& c) {
+      const Box3& inbox = bricks[static_cast<std::size_t>(c.rank())];
+      const Box3 outbox =
+          brick_layout(nc, c.size())[static_cast<std::size_t>(c.rank())];
+      RealPlan3D plan(c, n, inbox, outbox, PlanOptions{});
+      Rng rng(11 + static_cast<std::uint64_t>(c.rank()));
+      const auto in = rng.real_vector(static_cast<std::size_t>(inbox.count()));
+      std::vector<cplx> spec(static_cast<std::size_t>(outbox.count()));
+      std::vector<double> back(in.size());
+      plan.forward(in.data(), spec.data());
+      plan.backward(spec.data(), back.data());
+    });
+    const obs::RunTrace& run = *last_run();
+    for (int r = 0; r < kRanks; ++r) {
+      SCOPED_TRACE("rank " + std::to_string(r));
+      const auto ur = static_cast<std::size_t>(r);
+      const double want_pack[2] = {
+          oracle_pack_time(dev, fwd.from()[ur], fwd.sends(r), 1, 8),
+          oracle_pack_time(dev, bwd.from()[ur], bwd.sends(r), 1, 8)};
+      const double want_unpack[2] = {
+          oracle_pack_time(dev, fwd.to()[ur], fwd.recvs(r), 1, 8),
+          oracle_pack_time(dev, bwd.to()[ur], bwd.recvs(r), 1, 8)};
+      ASSERT_GT(std::min(want_pack[0], want_pack[1]), 0.0);
+      ASSERT_GT(std::min(want_unpack[0], want_unpack[1]), 0.0);
+      const auto packs = span_durations(run, r, "pack");
+      const auto unpacks = span_durations(run, r, "unpack");
+      ASSERT_GE(packs.size(), 2u);
+      ASSERT_GE(unpacks.size(), 2u);
+      EXPECT_EQ(packs.front(), want_pack[0]);
+      EXPECT_EQ(packs.back(), want_pack[1]);
+      EXPECT_EQ(unpacks.front(), want_unpack[0]);
+      EXPECT_EQ(unpacks.back(), want_unpack[1]);
+    }
+  }
+
+  {
+    SCOPED_TRACE("distributed_reshape");
+    // Beyond its two box allgathers, the reshape advances the clock by
+    // exactly pack + exchange + unpack.
+    const ReshapePlan rp = ReshapePlan::create(bricks, zpencils);
+    std::vector<double> advance(kRanks);
+    rt.run([&](smpi::Comm& c) {
+      const auto me = static_cast<std::size_t>(c.rank());
+      Rng rng(17 + me);
+      const auto in =
+          rng.complex_vector(static_cast<std::size_t>(bricks[me].count()));
+      std::vector<cplx> out;
+      const double t0 = c.vtime();
+      distributed_reshape(c, bricks[me], zpencils[me], in, out);
+      advance[me] = c.vtime() - t0;
+    });
+    const obs::RunTrace& run = *last_run();
+    for (int r = 0; r < kRanks; ++r) {
+      SCOPED_TRACE("rank " + std::to_string(r));
+      const auto ur = static_cast<std::size_t>(r);
+      double gathers = 0, exchange = 0;
+      for (const obs::Span& s : run.tracer.spans(r)) {
+        if (s.cat == obs::Category::Collective) gathers += s.dur;
+        if (s.cat == obs::Category::Exchange) exchange += s.dur;
+      }
+      const double want =
+          oracle_pack_time(dev, rp.from()[ur], rp.sends(r), 1, sizeof(cplx)) +
+          exchange +
+          oracle_pack_time(dev, rp.to()[ur], rp.recvs(r), 1, sizeof(cplx));
+      EXPECT_GT(exchange, 0.0);
+      EXPECT_NEAR(advance[ur] - gathers, want, 1e-12 * want);
+    }
+  }
 }
 
 }  // namespace

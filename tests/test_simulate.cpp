@@ -244,16 +244,78 @@ TEST(Simulate, SimulatorAgreesWithThreadedBatchedExecution) {
 }
 
 TEST(Simulate, SimulatorMatchesSimulateAndMemoizes) {
-  SimConfig cfg = base_config(12, {32, 32, 32});
-  cfg.warmed = true;
-  cfg.repeats = 1;
-  Simulator sim(cfg);
-  const SimReport rep = simulate(cfg);
-  EXPECT_NEAR(sim.transform_time(1), rep.per_transform,
-              1e-12 + 1e-12 * rep.per_transform);
-  EXPECT_DOUBLE_EQ(sim.transform_time(1), sim.transform_time(1));
+  // simulate() is a traced run of a Simulator: with one repeat its total
+  // is the handle's transform_time bit for bit, batched or not,
+  // overlapped or not, warm or cold.
+  for (int batch : {1, 3}) {
+    for (bool overlap : {false, true}) {
+      for (bool warmed : {true, false}) {
+        SimConfig cfg = base_config(12, {32, 32, 32});
+        cfg.options.batch = batch;
+        cfg.options.overlap_batches = overlap;
+        cfg.warmed = warmed;
+        cfg.repeats = 1;
+        Simulator sim(cfg);
+        const SimReport rep = simulate(cfg);
+        EXPECT_EQ(rep.total, sim.transform_time(batch, !warmed))
+            << "batch " << batch << (overlap ? " overlap" : " sequential")
+            << (warmed ? " warm" : " cold");
+        EXPECT_EQ(sim.transform_time(batch, !warmed),
+                  sim.transform_time(batch, !warmed));
+      }
+    }
+  }
+  Simulator sim(base_config(12, {32, 32, 32}));
   EXPECT_GT(sim.plan_setup_time(), 0)
       << "cold first transform must pay Fig. 10's plan-setup spike";
+}
+
+// Known approximation (ReshapeCost, DESIGN.md 3.1): the overlapped
+// pipeline prices a contiguous_fft plan's FFT axes without the two
+// reorder transposes the sequential pass charges. At batch 1 its one-chunk
+// schedule is the in-order sum of each reshape's max pack, exchange and
+// max unpack and each FFT axis's max contiguous fft_cost. A fix that
+// charges the transposes has to change this test on purpose.
+TEST(Simulate, OverlappedPipelineChargesNoReorderTransposes) {
+  SimConfig cfg = base_config(12, {32, 32, 32});
+  cfg.options.contiguous_fft = true;
+  const auto boxes = brick_layout(cfg.n, cfg.nranks);
+  const StagePlan plan = build_stages(cfg.n, cfg.nranks, boxes, boxes,
+                                      cfg.options, cfg.machine);
+  const net::RankMap map{cfg.machine.gpus_per_node};
+  const net::CommCost cost(cfg.machine, map, cfg.nranks);
+  const net::TransferMode mode = net::TransferMode::GpuAware;
+  StageCostMemo memo;
+  double want = 0;
+  for (std::size_t i = 0; i < plan.stages.size(); ++i) {
+    const Stage& s = plan.stages[i];
+    if (s.kind == Stage::Kind::Reshape) {
+      const ReshapeCost& rc =
+          memo.reshape(plan, i, 1, cfg.device, cost, mode, cfg.flavor);
+      want += rc.max_pack;
+      want += rc.phase.total;
+      want += rc.max_unpack;
+      continue;
+    }
+    double stage = 0;
+    for (int axis : s.axes) {
+      double mx = 0;
+      for (const Box3& box : s.boxes) {
+        if (box.empty()) continue;
+        const int len = static_cast<int>(box.size(axis));
+        mx = std::max(mx, gpu::fft_cost(cfg.device, len,
+                                        static_cast<int>(box.count() / len),
+                                        /*strided=*/false));
+      }
+      stage += mx;
+    }
+    want += stage;
+  }
+  const double got =
+      overlapped_batch_time(plan, cfg.device, cost, mode, cfg.flavor, 1);
+  EXPECT_EQ(got, want);
+  EXPECT_GT(simulate(cfg).total, got)
+      << "the sequential pass charges the transposes the pipeline omits";
 }
 
 // The stage-cost memo reuses exact solves, so a long-lived Simulator must
