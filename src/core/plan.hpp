@@ -74,7 +74,6 @@ class Plan3D {
   void run_reshape_datatype(const Stage& stage);
   void run_reshape_p2p(const Stage& stage, int tag_base);
   void run_fft(const Stage& stage, dft::Direction dir);
-  void apply_scaling(const std::vector<Box3>& layout);
 
   smpi::Comm& comm_;
   StagePlan plan_;

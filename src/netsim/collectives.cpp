@@ -157,67 +157,86 @@ PhaseTimes CommCost::pairwise_rounds(const std::vector<int>& group,
   // This reduces to the paper's eq. (2)/(3) shapes for balanced phases.
   // Padded, position i sends a block to every member of its component;
   // unpadded, one message per nonzero entry of its row.
-  std::size_t nflows = 0;
-  for (int i = 0; i < G; ++i) {
-    if (padded) {
-      const int ci = comp[static_cast<std::size_t>(i)];
-      if (comp_max[static_cast<std::size_t>(ci)] > 0)
-        nflows += static_cast<std::size_t>(comp_size(ci));
-    } else {
-      for (const auto& [j, b] : rows[static_cast<std::size_t>(i)])
-        nflows += b > 0 ? 1 : 0;
-    }
-  }
-  std::vector<Flow> flows;
-  flows.reserve(nflows);
   std::vector<int> node(UG);
   for (std::size_t i = 0; i < UG; ++i) node[i] = sim_.map().node_of(group[i]);
   std::vector<double> fixed(UG, 0.0);
-  for (int i = 0; i < G; ++i) {
-    const auto ui = static_cast<std::size_t>(i);
-    const auto& row = rows[ui];
-    if (!padded) {
-      for (const auto& [j, b] : row) {
-        if (b <= 0) continue;
-        const auto uj = static_cast<std::size_t>(j);
-        flows.push_back({group[ui], group[uj], b, 0, 0, 0});
-        out.moved_bytes += b;
-        if (i != j)
-          fixed[ui] += m.latency(node[ui] == node[uj]) +
-                       per_message_overhead(mode, b);
-      }
-      continue;
-    }
-    const auto ci = static_cast<std::size_t>(comp[ui]);
-    const double b = comp_max[ci];
-    if (b <= 0) continue;
-    const double overhead = per_message_overhead(mode, b);
-    auto entry = row.begin();
-    for (std::size_t k = member_start[ci]; k < member_start[ci + 1]; ++k) {
-      const int j = member[k];
+  std::size_t nflows = 0;
+  for (std::size_t i = 0; i < UG && !padded; ++i)
+    for (const auto& [j, b] : rows[i]) {
+      if (b <= 0) continue;
       const auto uj = static_cast<std::size_t>(j);
-      flows.push_back({group[ui], group[uj], b, 0, 0, 0});
-      while (entry != row.end() && entry->first < j) ++entry;
-      if (entry != row.end() && entry->first == j)
-        out.moved_bytes += entry->second;
-      if (i != j) fixed[ui] += m.latency(node[ui] == node[uj]) + overhead;
+      ++nflows;
+      out.moved_bytes += b;
+      if (i != uj)
+        fixed[i] += m.latency(node[i] == node[uj]) +
+                    per_message_overhead(mode, b);
+    }
+  for (std::size_t i = 0; i < UG && padded; ++i) {
+    const auto ci = static_cast<std::size_t>(comp[i]);
+    if (comp_max[ci] <= 0) continue;
+    nflows += static_cast<std::size_t>(comp_size(comp[i]));
+    for (const auto& [j, b] : rows[i])
+      if (comp[static_cast<std::size_t>(j)] == comp[i]) out.moved_bytes += b;
+  }
+  // Padded, position i pays one handshake per other member of its
+  // component, summed in member order. Every member of a run of
+  // consecutive members on one node sees the same sequence of terms with
+  // one intra-node term left out, so the run shares one sum.
+  for (std::size_t c = 0; c < UG && padded; ++c) {
+    if (comp_max[c] <= 0) continue;
+    const double overhead = per_message_overhead(mode, comp_max[c]);
+    const double intra = m.latency(true) + overhead;
+    const double inter = m.latency(false) + overhead;
+    const std::size_t first = member_start[c], last = member_start[c + 1];
+    for (std::size_t k0 = first, k1 = first; k0 < last; k0 = k1) {
+      const auto u0 = static_cast<std::size_t>(member[k0]);
+      double sum = 0;
+      for (std::size_t k = first; k < last; ++k) {
+        const auto uj = static_cast<std::size_t>(member[k]);
+        if (uj != u0) sum += node[u0] == node[uj] ? intra : inter;
+      }
+      for (; k1 < last &&
+             node[static_cast<std::size_t>(member[k1])] == node[u0];
+           ++k1)
+        fixed[static_cast<std::size_t>(member[k1])] = sum;
     }
   }
-  sim_.run(flows, mode, stats);
 
-  // Group position of each world rank (run() has checked that every flow
+  // The phase's flows, generated in row order. Padded blocks are never
+  // stored: one component of G ranks is G^2 flows.
+  const auto flows = [&](auto&& emit) {
+    for (std::size_t i = 0; i < UG; ++i) {
+      if (!padded) {
+        for (const auto& [j, b] : rows[i])
+          if (b > 0)
+            emit(Flow{group[i], group[static_cast<std::size_t>(j)], b, 0, 0,
+                      0});
+        continue;
+      }
+      const auto ci = static_cast<std::size_t>(comp[i]);
+      const double b = comp_max[ci];
+      if (b <= 0) continue;
+      for (std::size_t k = member_start[ci]; k < member_start[ci + 1]; ++k)
+        emit(Flow{group[i], group[static_cast<std::size_t>(member[k])], b, 0,
+                  0, 0});
+    }
+  };
+  // Group position of each world rank (FlowSim checks that every flow
   // names ranks of this fabric).
   const int world = sim_.nranks();
   std::vector<std::size_t> pos(static_cast<std::size_t>(world), 0);
   for (std::size_t i = 0; i < UG; ++i)
     if (group[i] >= 0 && group[i] < world)
       pos[static_cast<std::size_t>(group[i])] = i;
-  for (const Flow& f : flows) {
-    double& s_ = out.per_rank[pos[static_cast<std::size_t>(f.src)]];
-    s_ = std::max(s_, f.finish);
-    double& d_ = out.per_rank[pos[static_cast<std::size_t>(f.dst)]];
-    d_ = std::max(d_, f.finish);
-  }
+  sim_.run(
+      nflows, flows, mode,
+      [&](const Flow& f, double finish) {
+        double& s_ = out.per_rank[pos[static_cast<std::size_t>(f.src)]];
+        s_ = std::max(s_, finish);
+        double& d_ = out.per_rank[pos[static_cast<std::size_t>(f.dst)]];
+        d_ = std::max(d_, finish);
+      },
+      stats);
   for (int i = 0; i < G; ++i)
     out.per_rank[static_cast<std::size_t>(i)] +=
         fixed[static_cast<std::size_t>(i)];

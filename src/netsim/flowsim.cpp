@@ -19,7 +19,7 @@ namespace {
 struct Route {
   std::array<int, 7> link{};
   int nlinks = 0;
-  double cap = 0;  ///< per-flow rate cap (0 = unlimited)
+  double cap = 0;  ///< per-flow rate cap (infinite = none)
 };
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -138,21 +138,20 @@ struct StatsAcc {
 
 }  // namespace
 
-void FlowSim::run(std::vector<Flow>& flows, TransferMode mode,
-                  LinkStats* stats) const {
-  // Link layout: [0,R) dev_out, [R,2R) dev_in, [2R,2R+N) nic_out,
-  // [2R+N,2R+2N) nic_in, [2R+2N,2R+3N) host staging (used by Staged
-  // flows: all ranks of a node share the host-memory path), [2R+3N] core.
+FlowSim::Fabric FlowSim::fabric(TransferMode mode) const {
   const int R = nranks_, N = nodes_;
-  const int kDevOut = 0, kDevIn = R, kNicOut = 2 * R, kNicIn = 2 * R + N;
-  const int kStage = 2 * R + 2 * N;
-  const int kCore = 2 * R + 3 * N;
-  const int L = kCore + 1;
-
-  std::vector<double> base_cap(static_cast<std::size_t>(L));
+  Fabric fab;
+  fab.mode = mode;
+  fab.dev_out = 0;
+  fab.dev_in = R;
+  fab.nic_out = 2 * R;
+  fab.nic_in = 2 * R + N;
+  fab.stage = 2 * R + 2 * N;
+  fab.core = 2 * R + 3 * N;
+  fab.cap.resize(static_cast<std::size_t>(fab.core + 1));
   for (int r = 0; r < R; ++r) {
-    base_cap[static_cast<std::size_t>(kDevOut + r)] = spec_.gpu_gpu_bw;
-    base_cap[static_cast<std::size_t>(kDevIn + r)] = spec_.gpu_gpu_bw;
+    fab.cap[static_cast<std::size_t>(fab.dev_out + r)] = spec_.gpu_gpu_bw;
+    fab.cap[static_cast<std::size_t>(fab.dev_in + r)] = spec_.gpu_gpu_bw;
   }
   // Host-staged traffic drives the NIC less efficiently (extra host
   // copies on the injection path), so in Staged mode the effective NIC
@@ -161,120 +160,114 @@ void FlowSim::run(std::vector<Flow>& flows, TransferMode mode,
       (mode == TransferMode::Staged ? spec_.staged_nic_efficiency : 1.0) *
       nic_scale_;
   for (int n = 0; n < N; ++n) {
-    base_cap[static_cast<std::size_t>(kNicOut + n)] = spec_.nic_bw * nic_eff;
-    base_cap[static_cast<std::size_t>(kNicIn + n)] = spec_.nic_bw * nic_eff;
-    base_cap[static_cast<std::size_t>(kStage + n)] = spec_.host_stage_bw;
+    fab.cap[static_cast<std::size_t>(fab.nic_out + n)] = spec_.nic_bw * nic_eff;
+    fab.cap[static_cast<std::size_t>(fab.nic_in + n)] = spec_.nic_bw * nic_eff;
+    fab.cap[static_cast<std::size_t>(fab.stage + n)] = spec_.host_stage_bw;
   }
-  base_cap[static_cast<std::size_t>(kCore)] = static_cast<double>(N) *
-                                              spec_.nic_bw * nic_eff *
-                                              spec_.core_efficiency(N);
+  fab.cap[static_cast<std::size_t>(fab.core)] =
+      static_cast<double>(N) * spec_.nic_bw * nic_eff *
+      spec_.core_efficiency(N);
 
-  // A flow's links and rate cap under `mode`.
+  // A single message cannot stripe perfectly across the NIC rails. A
+  // staged message is bounded by the staging copies regardless of the
+  // network, and a Host-mode message within a node is a shared-memory
+  // copy at the same rate.
+  fab.self_cap = spec_.hbm_bw / 2.0;
+  double nic_cap = spec_.single_flow_nic_fraction * spec_.nic_bw * nic_scale_;
+  if (mode == TransferMode::Staged) nic_cap *= spec_.staged_nic_efficiency;
+  fab.inter_cap = mode == TransferMode::Staged
+                      ? std::min(nic_cap, spec_.gpu_host_bw)
+                      : nic_cap;
+  fab.intra_cap = mode == TransferMode::GpuAware ? kInf : spec_.gpu_host_bw;
+  return fab;
+}
+
+void FlowSim::estimate_stats(const Fabric& fab,
+                             const std::vector<double>& load,
+                             double duration, LinkStats& out) const {
+  // Bottleneck estimates: each link runs at its mean rate for the whole
+  // phase.
+  out.duration = duration;
+  for (std::size_t l = 0; l < load.size(); ++l) {
+    if (load[l] <= 0) continue;
+    LinkStats::Link link;
+    link.name = link_name(static_cast<int>(l), nranks_, nodes_);
+    link.capacity = fab.cap[l];
+    link.bytes = load[l];
+    const double mean = duration > 0 ? load[l] / duration : 0.0;
+    link.peak_rate = mean;
+    link.util_sum = load[l];
+    link.busy_time = mean > 0 ? duration : 0.0;
+    link.saturated_time = mean >= 0.99 * fab.cap[l] ? duration : 0.0;
+    link.samples = {{0.0, mean}, {duration, 0.0}};
+    out.links.push_back(std::move(link));
+  }
+}
+
+void FlowSim::check_estimate(const Fabric& fab, const Tally& first,
+                             const Tally& second,
+                             const std::vector<double>& load) {
+  // Both visits of the source must have seen the same flows in the same
+  // order: the same count and the same byte sum, bit for bit.
+  PARFFT_CHECK(first.flows == second.flows &&
+                   !(first.bytes < second.bytes) &&
+                   !(second.bytes < first.bytes),
+               "flowsim: flow source changed between its two visits");
+  // Every byte that crossed the fabric left one device and entered
+  // another (device endpoints are off the route in Host mode), and every
+  // byte that left a node's NIC crossed the core and entered another
+  // node's NIC. The sums run in different orders; summing n non-negative
+  // terms errs by at most about n ulps of the total.
+  const auto sum = [&load](int from, int to) {
+    double s = 0;
+    for (int l = from; l < to; ++l) s += load[static_cast<std::size_t>(l)];
+    return s;
+  };
+  const double ulps = 4.0 * static_cast<double>(first.flows + load.size()) *
+                      std::numeric_limits<double>::epsilon();
+  const auto near = [ulps](double a, double b) {
+    return std::abs(a - b) <= ulps * std::max({std::abs(a), std::abs(b), 1.0});
+  };
+  if (fab.mode != TransferMode::Host) {
+    PARFFT_CHECK(near(sum(fab.dev_out, fab.dev_in), first.fabric_bytes) &&
+                     near(sum(fab.dev_in, fab.nic_out), first.fabric_bytes),
+                 "flowsim: device links do not conserve the phase's bytes");
+  }
+  const double core = load[static_cast<std::size_t>(fab.core)];
+  PARFFT_CHECK(near(sum(fab.nic_out, fab.nic_in), core) &&
+                   near(sum(fab.nic_in, fab.stage), core),
+               "flowsim: NIC links do not conserve the core's bytes");
+}
+
+void FlowSim::run(std::vector<Flow>& flows, TransferMode mode,
+                  LinkStats* stats) const {
+  const std::size_t F = flows.size();
+  if (F > static_cast<std::size_t>(kExactFlowLimit)) {
+    std::size_t f = 0;
+    estimate([&flows](auto&& emit) {
+               for (const Flow& fl : flows) emit(fl);
+             },
+             mode,
+             [&flows, &f](const Flow&, double finish) {
+               flows[f++].finish = finish;
+             },
+             stats);
+    return;
+  }
+  if (stats) *stats = LinkStats{};
+
+  const Fabric fab = fabric(mode);
+  const std::vector<double>& base_cap = fab.cap;
+  const int R = nranks_, N = nodes_;
+  const int L = static_cast<int>(base_cap.size());
   const auto route_of = [&](const Flow& fl) {
     PARFFT_CHECK(fl.src >= 0 && fl.src < R && fl.dst >= 0 && fl.dst < R,
                  "flow endpoint out of range");
     Route rt;
-    double cap = fl.rate_cap > 0 ? fl.rate_cap : kInf;
-    if (fl.src == fl.dst) {
-      // Local device copy; never touches the fabric.
-      cap = std::min(cap, spec_.hbm_bw / 2.0);
-    } else {
-      const int src_node = map_.node_of(fl.src);
-      const int dst_node = map_.node_of(fl.dst);
-      const bool same_node = src_node == dst_node;
-      const bool device_endpoints = mode != TransferMode::Host;
-      if (device_endpoints) {
-        rt.link[rt.nlinks++] = kDevOut + fl.src;
-      }
-      if (!same_node) {
-        rt.link[rt.nlinks++] = kNicOut + src_node;
-        rt.link[rt.nlinks++] = kCore;
-        rt.link[rt.nlinks++] = kNicIn + dst_node;
-        double nic_cap =
-            spec_.single_flow_nic_fraction * spec_.nic_bw * nic_scale_;
-        if (mode == TransferMode::Staged)
-          nic_cap *= spec_.staged_nic_efficiency;
-        cap = std::min(cap, nic_cap);
-      }
-      if (device_endpoints) {
-        rt.link[rt.nlinks++] = kDevIn + fl.dst;
-      }
-      if (mode == TransferMode::Staged) {
-        // Pipelined device->host->host->device path: rate bounded by the
-        // staging copies regardless of the network, and sharing the
-        // node-wide host-memory path with every other staging rank.
-        cap = std::min(cap, spec_.gpu_host_bw);
-        rt.link[rt.nlinks++] = kStage + src_node;
-        if (!same_node) rt.link[rt.nlinks++] = kStage + dst_node;
-      }
-      if (mode == TransferMode::Host && same_node) {
-        cap = std::min(cap, spec_.gpu_host_bw);  // shared-memory copy
-      }
-    }
-    rt.cap = cap;
+    rt.cap = fab.route(fl, map_.node_of(fl.src), map_.node_of(fl.dst),
+                       [&rt](int l) { rt.link[rt.nlinks++] = l; });
     return rt;
   };
-
-  const std::size_t F = flows.size();
-  if (stats) *stats = LinkStats{};
-
-  // Very wide phases (thousands of flows) use a bottleneck estimate: each
-  // flow runs at min(its rate cap, its most-loaded link's capacity split
-  // by byte share), i.e. finish = start + max over links of
-  // (link_load / cap) prorated. It is exact for symmetric phases; for
-  // uneven ones it is an estimate, not a bound in either direction:
-  // against the exact solve, Fig. 8's points come out 0.6-1.9% low and
-  // Fig. 9's 1536-GPU point 2.5% high. Two passes over the flows and no
-  // per-flow state keep 3072-rank simulations cheap.
-  if (F > static_cast<std::size_t>(kExactFlowLimit)) {
-    std::vector<double> load(static_cast<std::size_t>(L), 0.0);
-    for (const Flow& fl : flows) {
-      const Route rt = route_of(fl);
-      const double bytes = std::max(fl.bytes, 0.0);
-      for (int l = 0; l < rt.nlinks; ++l)
-        load[static_cast<std::size_t>(rt.link[l])] += bytes;
-    }
-    for (Flow& fl : flows) {
-      const double bytes = std::max(fl.bytes, 0.0);
-      if (bytes <= 0) {
-        fl.finish = fl.start;
-        continue;
-      }
-      // Time for this flow if its route's most contended link serves all
-      // its traffic at full rate (fair share of a saturated link gives
-      // every byte equal service).
-      const Route rt = route_of(fl);
-      double tmin = bytes / std::min(rt.cap, kInf);
-      for (int l = 0; l < rt.nlinks; ++l) {
-        const auto li = static_cast<std::size_t>(rt.link[l]);
-        tmin = std::max(tmin, load[li] / base_cap[li]);
-      }
-      PARFFT_PARANOID_ASSERT(tmin >= 0);
-      fl.finish = fl.start + tmin;
-    }
-    if (stats) {
-      // Bottleneck estimates: each link runs at its mean rate for the
-      // whole phase.
-      double duration = 0;
-      for (const Flow& fl : flows) duration = std::max(duration, fl.finish);
-      stats->duration = duration;
-      for (std::size_t l = 0; l < load.size(); ++l) {
-        if (load[l] <= 0) continue;
-        LinkStats::Link link;
-        link.name = link_name(static_cast<int>(l), R, N);
-        link.capacity = base_cap[l];
-        link.bytes = load[l];
-        const double mean = duration > 0 ? load[l] / duration : 0.0;
-        link.peak_rate = mean;
-        link.util_sum = load[l];
-        link.busy_time = mean > 0 ? duration : 0.0;
-        link.saturated_time = mean >= 0.99 * base_cap[l] ? duration : 0.0;
-        link.samples = {{0.0, mean}, {duration, 0.0}};
-        stats->links.push_back(std::move(link));
-      }
-    }
-    return;
-  }
 
   // Exact progressive filling over per-flow routes and remaining bytes.
   std::vector<Route> route(F);

@@ -240,6 +240,44 @@ TEST(FlowSimInvariants, NoLinkExceedsItsCapacity) {
   for (const net::Flow& f : flows) EXPECT_GE(f.finish, f.start);
 }
 
+// The streamed bottleneck estimate rests on its source emitting the same
+// flows in the same order on both visits; paranoid builds check that.
+TEST(FlowSimInvariants, StreamedEstimateChecksItsSource) {
+  const bool prev = set_paranoid(true);
+  const net::FlowSim sim(net::summit(), net::RankMap{6}, /*nranks=*/48);
+  int visits = 0;
+  bool drift = false;  // the second visit sends one byte more
+  const auto source = [&](auto&& emit) {
+    ++visits;
+    for (int s = 0; s < 48; ++s)
+      for (int d = 0; d < 48; ++d) {
+        net::Flow f;
+        f.src = s;
+        f.dst = d;
+        f.bytes = 1e5 + 10.0 * s + ((drift && visits == 2 && s == 7) ? 1 : 0);
+        emit(f);
+      }
+  };
+  std::vector<double> finish;
+  const auto sink = [&finish](const net::Flow& f, double t) {
+    EXPECT_GE(t, f.start);
+    finish.push_back(t);
+  };
+  net::LinkStats stats;
+  sim.run(48 * 48, source, net::TransferMode::Staged, sink, &stats);
+  EXPECT_EQ(visits, 2);
+  EXPECT_EQ(finish.size(), 48u * 48u);
+  EXPECT_FALSE(stats.links.empty());
+
+  visits = 0;
+  drift = true;
+  if (paranoid_compiled()) {
+    EXPECT_THROW(sim.run(48 * 48, source, net::TransferMode::Staged, sink),
+                 Error);
+  }
+  set_paranoid(prev);
+}
+
 // -------------------------------------------------- cluster identities
 
 /// A full sharded-cluster pipeline: 3 machines with decorrelated fault

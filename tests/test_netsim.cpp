@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -390,10 +391,72 @@ SendMatrix random_sends(Rng& rng, int G, int comps, int per_row, double lo,
   return s;
 }
 
+/// Adds one exchange's PhaseTimes, and its LinkStats when given, to `fnv`.
+void add_phase(Fnv& fnv, const PhaseTimes& p, const LinkStats* stats) {
+  fnv.add(p.total);
+  for (double v : p.per_rank) fnv.add(v);
+  fnv.add(p.max_block);
+  fnv.add(p.moved_bytes);
+  if (!stats) return;
+  fnv.add(stats->duration);
+  for (const LinkStats::Link& l : stats->links) {
+    fnv.add(l.name);
+    for (double v : {l.capacity, l.bytes, l.peak_rate, l.util_sum,
+                     l.busy_time, l.saturated_time})
+      fnv.add(v);
+    for (const auto& [t, rate] : l.samples) {
+      fnv.add(t);
+      fnv.add(rate);
+    }
+  }
+}
+
+/// Digest of `sends` over `group` exchanged by each of `algs` under every
+/// transfer mode, stats on. Each exchange also runs with stats off, and
+/// must then return the same PhaseTimes bit for bit.
+std::string exchange_digest(const CommCost& cost, const std::vector<int>& group,
+                            const SendMatrix& sends,
+                            std::initializer_list<CollectiveAlg> algs) {
+  Fnv fnv;
+  for (CollectiveAlg alg : algs)
+    for (TransferMode mode : {TransferMode::GpuAware, TransferMode::Staged,
+                              TransferMode::Host}) {
+      LinkStats stats;
+      const PhaseTimes p =
+          cost.exchange(group, sends, alg, mode, MpiFlavor::SpectrumMPI,
+                        &stats);
+      add_phase(fnv, p, &stats);
+      Fnv on, off;
+      add_phase(on, p, nullptr);
+      add_phase(off, cost.exchange(group, sends, alg, mode,
+                                   MpiFlavor::SpectrumMPI),
+                nullptr);
+      EXPECT_EQ(on.h, off.h) << "stats changed the result: alg "
+                             << static_cast<int>(alg) << " mode "
+                             << static_cast<int>(mode);
+    }
+  char hex[17];
+  std::snprintf(hex, sizeof hex, "%016llx",
+                static_cast<unsigned long long>(fnv.h));
+  return hex;
+}
+
+/// A shuffled subset of `G` ranks of a `world`-rank machine.
+std::vector<int> shuffled_group(Rng& rng, int world, int G) {
+  std::vector<int> ranks(static_cast<std::size_t>(world));
+  for (int r = 0; r < world; ++r) ranks[static_cast<std::size_t>(r)] = r;
+  std::shuffle(ranks.begin(), ranks.end(), rng.engine());
+  return {ranks.begin(), ranks.begin() + G};
+}
+
 // The pairwise exchange's sparse bookkeeping and FlowSim's two regimes
 // must keep reproducing these exact results: digests of every output bit
 // pattern, recorded before the pairwise pricing stopped building a dense
-// G x G matrix and the wide path stopped keeping per-flow state.
+// G x G matrix and the wide path stopped keeping per-flow state. The
+// degraded-fabric digests (NICs and core at half capacity), the Spock
+// case and the dense padded case were recorded while padded blocks were
+// still stored as a flow vector, before the estimate read them as a
+// generated stream.
 TEST(CommCost, PairwiseAndWidePhasesMatchRecordedResults) {
   struct Case {
     int G;
@@ -401,57 +464,107 @@ TEST(CommCost, PairwiseAndWidePhasesMatchRecordedResults) {
     int per_row;
     double lo, hi;
     const char* digest;
+    const char* degraded;
   };
   // Blocks at or below MachineSpec::bruck_threshold (4096 bytes) take
   // Bruck's path when padded; the others reach FlowSim, on both sides of
   // kExactFlowLimit.
   const Case cases[] = {
-      {40, 3, 6, 16, 600, "f15d4f597f1d90df"},         // Bruck-sized
-      {48, 4, 5, 1e5, 4e6, "962f1e813b024a87"},        // exact both ways
-      {96, 2, 24, 1e5, 4e6, "c5d5ad6821dcaca6"},       // wide both ways
-      {120, 6, 12, 3e3, 9e4, "1cccfd7180d8ab95"},      // padded wide only
+      // Bruck-sized
+      {40, 3, 6, 16, 600, "f15d4f597f1d90df", "f14e9c0701e6a54a"},
+      // exact both ways
+      {48, 4, 5, 1e5, 4e6, "962f1e813b024a87", "4b6f9bbb127089b4"},
+      // wide both ways
+      {96, 2, 24, 1e5, 4e6, "c5d5ad6821dcaca6", "6aab69603a945cb5"},
+      // padded wide only
+      {120, 6, 12, 3e3, 9e4, "1cccfd7180d8ab95", "1ec2979e2fa84c54"},
   };
   const MachineSpec m = summit();
   const CommCost cost(m, RankMap{6}, 132);
+  CommCost degraded = cost;
+  degraded.flowsim().set_nic_scale(0.5);
+  const auto algs = {CollectiveAlg::Alltoall, CollectiveAlg::Alltoallv,
+                     CollectiveAlg::P2PNonBlocking};
   Rng rng(15);
   for (const Case& c : cases) {
-    // The group is a scattered subset of the world in shuffled order.
-    std::vector<int> world(132);
-    for (int r = 0; r < 132; ++r) world[static_cast<std::size_t>(r)] = r;
-    std::shuffle(world.begin(), world.end(), rng.engine());
-    const std::vector<int> group(world.begin(), world.begin() + c.G);
+    const std::vector<int> group = shuffled_group(rng, 132, c.G);
     const SendMatrix sends = random_sends(rng, c.G, c.comps, c.per_row, c.lo,
                                           c.hi);
+    EXPECT_EQ(exchange_digest(cost, group, sends, algs), c.digest)
+        << "G=" << c.G << " comps=" << c.comps;
+    EXPECT_EQ(exchange_digest(degraded, group, sends, algs), c.degraded)
+        << "degraded G=" << c.G << " comps=" << c.comps;
+  }
+
+  // Spock's intra- and inter-node latencies differ, so each rank's
+  // handshake sum depends on which of its peers share its node; an
+  // ordered group puts four consecutive positions on every node.
+  const MachineSpec spock_spec = spock();
+  const CommCost spock_cost(spock_spec, RankMap{spock_spec.gpus_per_node},
+                            132);
+  Rng spock_rng(23);
+  std::vector<int> ordered(96);
+  for (int r = 0; r < 96; ++r) ordered[static_cast<std::size_t>(r)] = r;
+  EXPECT_EQ(exchange_digest(spock_cost, ordered,
+                            random_sends(spock_rng, 96, 2, 24, 1e5, 4e6),
+                            algs),
+            "06b96b11f71dc618");
+
+  // One dense padded component of 560 shuffled ranks: 313,600 flows, the
+  // shape of a large-scale MPI_Alltoall reshape.
+  constexpr int kWorld = 600, kG = 560;
+  const CommCost wide(m, RankMap{6}, kWorld);
+  CommCost wide_degraded = wide;
+  wide_degraded.flowsim().set_nic_scale(0.5);
+  Rng dense_rng(19);
+  const std::vector<int> group = shuffled_group(dense_rng, kWorld, kG);
+  SendMatrix sends(static_cast<std::size_t>(kG));
+  for (int i = 0; i < kG; ++i) {
+    auto& row = sends[static_cast<std::size_t>(i)];
+    row.push_back({(i + 1) % kG, dense_rng.uniform(1e4, 2e5)});
+    for (int k = 0; k < 3; ++k)
+      row.push_back({static_cast<int>(dense_rng.uniform_int(0, kG - 1)),
+                     dense_rng.uniform(1e4, 2e5)});
+  }
+  EXPECT_EQ(exchange_digest(wide, group, sends, {CollectiveAlg::Alltoall}),
+            "3f4d512332511d10");
+  EXPECT_EQ(exchange_digest(wide_degraded, group, sends,
+                            {CollectiveAlg::Alltoall}),
+            "4310224dc9c80a5e");
+}
+
+// A wide phase as FlowSim::run takes it from its callers: staggered
+// starts, per-flow rate caps that bind (alternating between flows of one
+// size, so a cached bytes / cap must follow the cap too), self-sends and
+// empty flows. Digests recorded while the estimate still read a vector.
+TEST(FlowSim, WidePhaseMatchesRecordedResults) {
+  const FlowSim sim(summit(), RankMap{6}, 48);
+  Rng rng(29);
+  std::vector<Flow> flows;
+  for (int f = 0; f < 1500; ++f) {
+    Flow fl;
+    fl.src = static_cast<int>(rng.uniform_int(0, 47));
+    fl.dst = static_cast<int>(rng.uniform_int(0, 47));
+    fl.bytes = rng.uniform_int(0, 9) == 0 ? 0.0 : 1e6 * (1 + f / 7);
+    fl.start = rng.uniform(0, 1e-5);
+    fl.rate_cap = f % 2 == 0 ? 0.0 : rng.uniform(1e6, 1e8);
+    flows.push_back(fl);
+  }
+  const char* digests[] = {"08dae7f07ef63b49", "0a2fdc5847170931",
+                           "3fbe8db7cabe5245"};
+  int k = 0;
+  for (TransferMode mode :
+       {TransferMode::GpuAware, TransferMode::Staged, TransferMode::Host}) {
+    std::vector<Flow> phase = flows;
+    LinkStats stats;
+    sim.run(phase, mode, &stats);
     Fnv fnv;
-    for (CollectiveAlg alg : {CollectiveAlg::Alltoall,
-                              CollectiveAlg::Alltoallv,
-                              CollectiveAlg::P2PNonBlocking})
-      for (TransferMode mode : {TransferMode::GpuAware, TransferMode::Staged,
-                                TransferMode::Host}) {
-        LinkStats stats;
-        const PhaseTimes p =
-            cost.exchange(group, sends, alg, mode, MpiFlavor::SpectrumMPI,
-                          &stats);
-        fnv.add(p.total);
-        for (double v : p.per_rank) fnv.add(v);
-        fnv.add(p.max_block);
-        fnv.add(p.moved_bytes);
-        fnv.add(stats.duration);
-        for (const LinkStats::Link& l : stats.links) {
-          fnv.add(l.name);
-          for (double v : {l.capacity, l.bytes, l.peak_rate, l.util_sum,
-                           l.busy_time, l.saturated_time})
-            fnv.add(v);
-          for (const auto& [t, rate] : l.samples) {
-            fnv.add(t);
-            fnv.add(rate);
-          }
-        }
-      }
+    for (const Flow& fl : phase) fnv.add(fl.finish);
+    add_phase(fnv, PhaseTimes{}, &stats);
     char hex[17];
     std::snprintf(hex, sizeof hex, "%016llx",
                   static_cast<unsigned long long>(fnv.h));
-    EXPECT_STREQ(hex, c.digest) << "G=" << c.G << " comps=" << c.comps;
+    EXPECT_STREQ(hex, digests[k++]) << "mode " << static_cast<int>(mode);
   }
 }
 
