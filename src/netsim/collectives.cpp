@@ -136,8 +136,10 @@ PhaseTimes CommCost::pairwise_rounds(const std::vector<int>& group,
       const double b = comp_max[static_cast<std::size_t>(ci)];
       const double rounds = std::ceil(std::log2(static_cast<double>(gc)));
       const double msg = std::ceil(gc / 2.0) * b;
-      // Conservative per-round transport: single-flow injection rate.
-      const double rate = m.single_flow_nic_fraction * m.nic_bw;
+      // Conservative per-round transport: single-flow injection rate, at
+      // the fabric's current NIC capacity.
+      const double rate =
+          m.single_flow_nic_fraction * m.nic_bw * sim_.nic_scale();
       const double shuffle = 2.0 * gc * b * 2.0 / m.hbm_bw;  // local moves
       out.per_rank[static_cast<std::size_t>(i)] =
           rounds * (m.latency_inter + per_message_overhead(mode, msg) +

@@ -52,7 +52,8 @@ class CommCost {
   /// {Alltoallw, GpuAware, SpectrumMPI} are silently downgraded to Staged,
   /// as on the real machine (Section II, footnote). When `stats` is
   /// non-null it receives the fabric's per-link utilization for this phase
-  /// (empty for the Bruck small-message path, which never hits FlowSim).
+  /// (empty for the Bruck small-message path, which FlowSim does not solve;
+  /// its rounds still run at the NIC rate scaled by FlowSim::nic_scale()).
   PhaseTimes exchange(const std::vector<int>& group, const SendMatrix& sends,
                       CollectiveAlg alg, TransferMode mode, MpiFlavor flavor,
                       LinkStats* stats = nullptr) const;

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <exception>
 #include <map>
+#include <string>
 #include <thread>
 
 #include "common/paranoid.hpp"
@@ -341,7 +342,17 @@ void Comm::collective(const void* contribution,
   if (g.arrived == G) {
     g.base_time = 0;
     for (double e : g.entry) g.base_time = std::max(g.base_time, e);
-    if (leader) leader(g.contrib);
+    if (leader) {
+      try {
+        leader(g.contrib);
+      } catch (...) {
+        // Withdraw like an aborting member below, or the next run on this
+        // Runtime completes its first collective one member early.
+        g.contrib[static_cast<std::size_t>(grank_)] = nullptr;
+        --g.arrived;
+        throw;
+      }
+    }
     g.arrived = 0;
     g.departed = G;
     g.reading = G;
@@ -505,237 +516,167 @@ void Comm::scatter(const void* sendbuf, std::size_t bytes, void* recvbuf,
   record_collective(*this, "MPI_Scatter", t0);
 }
 
+namespace {
+/// The datatype engine: copies subarray `st` of src into the `rt` layout
+/// of dst. The exchange leader has checked that the two shapes match.
+void copy_subarray(const void* src, const Subarray& st, void* dst,
+                   const Subarray& rt) {
+  const idx_t eb = static_cast<idx_t>(st.elem_bytes);
+  for (idx_t a = 0; a < st.sub[0]; ++a)
+    for (idx_t b = 0; b < st.sub[1]; ++b) {
+      const idx_t so =
+          (((a + st.off[0]) * st.full[1] + (b + st.off[1])) * st.full[2] +
+           st.off[2]) * eb;
+      const idx_t dofs =
+          (((a + rt.off[0]) * rt.full[1] + (b + rt.off[1])) * rt.full[2] +
+           rt.off[2]) * eb;
+      std::memcpy(static_cast<std::byte*>(dst) + dofs,
+                  static_cast<const std::byte*>(src) + so,
+                  static_cast<std::size_t>(st.sub[2] * eb));
+    }
+}
+
+/// A rank's send row for `types`: one (peer, bytes) entry per non-empty
+/// datatype, in peer order.
+std::vector<std::pair<int, double>> row_of(const std::vector<Subarray>& types) {
+  std::vector<std::pair<int, double>> row;
+  for (std::size_t j = 0; j < types.size(); ++j)
+    if (!types[j].empty())
+      row.push_back({static_cast<int>(j), types[j].bytes()});
+  return row;
+}
+}  // namespace
+
+double Comm::exchange(const SendRow& row, net::CollectiveAlg alg,
+                      MemSpace space, const Blocks* blocks) {
+  const double t0 = vtime();
+  struct C {
+    const SendRow* row;
+    const Blocks* blocks;
+    double out_time;
+  } mine{&row, blocks, 0.0};
+
+  auto& g = rt_->group(group_id_);
+  const net::TransferMode mode = mode_for(space);
+  std::function<void(const ContribView&)> reader;
+  if (blocks)
+    reader = [&mine, me = static_cast<std::size_t>(grank_)](
+                 const ContribView& all) {
+      // This rank pulls its block from every sender.
+      for (std::size_t j = 0; j < all.size(); ++j) {
+        const Blocks& from = *static_cast<const C*>(all[j])->blocks;
+        if (from.stypes[me].empty()) continue;
+        copy_subarray(from.sbuf, from.stypes[me], mine.blocks->rbuf,
+                      mine.blocks->rtypes[j]);
+      }
+    };
+  collective(
+      &mine,
+      [&g, alg, mode, this](const ContribView& all) {
+        // Leader: every check, then the cost model; the readers only copy.
+        const std::size_t G = all.size();
+        auto at = [&all](std::size_t i) {
+          return const_cast<C*>(static_cast<const C*>(all[i]));
+        };
+        net::SendMatrix sends(G);
+        for (std::size_t i = 0; i < G; ++i) {
+          sends[i] = *at(i)->row;
+          const Blocks* to = at(i)->blocks;
+          if (!to) continue;
+          for (std::size_t j = 0; j < G; ++j) {
+            const Subarray& st = at(j)->blocks->stypes[i];
+            const Subarray& rt = to->rtypes[j];
+            PARFFT_CHECK(st.empty() ? rt.empty()
+                                    : st.sub == rt.sub &&
+                                          st.elem_bytes == rt.elem_bytes,
+                         std::string(alg == net::CollectiveAlg::Alltoallw
+                                         ? "alltoallw"
+                                         : "alltoallv") +
+                             ": matched send/recv datatypes disagree");
+          }
+        }
+        const net::PhaseTimes times = rt_->cost().exchange(
+            g.members, sends, alg, mode, rt_->options().flavor);
+        for (std::size_t i = 0; i < G; ++i)
+          at(i)->out_time = times.per_rank[i];
+      },
+      reader, [&mine](int, int) { return mine.out_time; });
+
+  obs::RunTrace* run = trace_run();
+  if (!run || !blocks) return mine.out_time;
+  double sent = 0;
+  int peers = 0;
+  for (const auto& [dst, b] : row) {
+    sent += b;
+    if (dst != grank_) ++peers;
+    run->metrics.observe("exchange/message_bytes", b);
+  }
+  std::vector<obs::SpanArg> args;
+  if (run->with_args())
+    args = {{"bytes_sent", sent}, {"peers", static_cast<double>(peers)}};
+  // The span covers entry-to-exit virtual time, i.e. peer synchronization
+  // plus the exchange itself -- the same interval the aggregate trace
+  // books as communication.
+  run->tracer.complete(wrank_, obs::Category::Exchange,
+                       alg == net::CollectiveAlg::Alltoall    ? "MPI_Alltoall"
+                       : alg == net::CollectiveAlg::Alltoallv ? "MPI_Alltoallv"
+                                                              : "MPI_Alltoallw",
+                       t0, vtime() - t0, std::move(args));
+  run->metrics.counter("rank/" + std::to_string(wrank_) + "/bytes_sent")
+      .add(sent);
+  return mine.out_time;
+}
+
 void Comm::alltoallv(const void* sbuf, const std::vector<std::size_t>& scounts,
                      const std::vector<std::size_t>& sdispls, void* rbuf,
                      const std::vector<std::size_t>& rcounts,
                      const std::vector<std::size_t>& rdispls, MemSpace space,
                      net::CollectiveAlg alg) {
-  const int G = size();
-  PARFFT_CHECK(static_cast<int>(scounts.size()) == G &&
-                   static_cast<int>(sdispls.size()) == G &&
-                   static_cast<int>(rcounts.size()) == G &&
-                   static_cast<int>(rdispls.size()) == G,
+  const std::size_t G = static_cast<std::size_t>(size());
+  PARFFT_CHECK(scounts.size() == G && sdispls.size() == G &&
+                   rcounts.size() == G && rdispls.size() == G,
                "count/displacement arrays must match communicator size");
   PARFFT_CHECK(alg == net::CollectiveAlg::Alltoall ||
                    alg == net::CollectiveAlg::Alltoallv,
                "alltoallv supports the Alltoall/Alltoallv cost models");
-  const double t0 = vtime();
-
-  struct C {
-    const std::byte* sbuf;
-    const std::vector<std::size_t>* scounts;
-    const std::vector<std::size_t>* sdispls;
-    std::byte* rbuf;
-    const std::vector<std::size_t>* rcounts;
-    const std::vector<std::size_t>* rdispls;
-    int grank;
-    double out_time;
-  } mine{static_cast<const std::byte*>(sbuf), &scounts, &sdispls,
-         static_cast<std::byte*>(rbuf), &rcounts, &rdispls, grank_, 0.0};
-
-  auto& g = rt_->group(group_id_);
-  const net::TransferMode mode = mode_for(space);
-  collective(
-      &mine,
-      [&g, G, alg, mode, this](const ContribView& all) {
-        // Leader: cost model and every check; the readers only copy.
-        net::SendMatrix sends(static_cast<std::size_t>(G));
-        for (int i = 0; i < G; ++i) {
-          const C* ci = static_cast<const C*>(all[static_cast<std::size_t>(i)]);
-          for (int j = 0; j < G; ++j) {
-            const std::size_t b = (*ci->scounts)[static_cast<std::size_t>(j)];
-            if (b > 0)
-              sends[static_cast<std::size_t>(i)].push_back(
-                  {j, static_cast<double>(b)});
-          }
-        }
-        const net::PhaseTimes times = rt_->cost().exchange(
-            g.members, sends, alg, mode, rt_->options().flavor);
-        for (int i = 0; i < G; ++i) {
-          C* ci = const_cast<C*>(static_cast<const C*>(all[static_cast<std::size_t>(i)]));
-          ci->out_time = times.per_rank[static_cast<std::size_t>(i)];
-          for (int j = 0; j < G; ++j) {
-            const C* cj = static_cast<const C*>(all[static_cast<std::size_t>(j)]);
-            PARFFT_CHECK((*cj->scounts)[static_cast<std::size_t>(i)] ==
-                             (*ci->rcounts)[static_cast<std::size_t>(j)],
-                         "alltoallv send/recv counts disagree");
-          }
-        }
-      },
-      [&mine](const ContribView& all) {
-        // Reader: this rank pulls block j -> me from every sender.
-        const std::size_t me = static_cast<std::size_t>(mine.grank);
-        for (std::size_t j = 0; j < all.size(); ++j) {
-          const C* cj = static_cast<const C*>(all[j]);
-          const std::size_t b = (*cj->scounts)[me];
-          if (b == 0) continue;
-          std::memcpy(mine.rbuf + (*mine.rdispls)[j],
-                      cj->sbuf + (*cj->sdispls)[me], b);
-        }
-      },
-      [&mine](int, int) { return mine.out_time; });
-
-  if (obs::RunTrace* run = trace_run()) {
-    double sent = 0;
-    int peers = 0;
-    for (std::size_t j = 0; j < scounts.size(); ++j) {
-      if (scounts[j] == 0) continue;
-      sent += static_cast<double>(scounts[j]);
-      if (static_cast<int>(j) != grank_) ++peers;
-      run->metrics.observe("exchange/message_bytes",
-                           static_cast<double>(scounts[j]));
+  // Each block is the one-dimensional case of a subarray: `count` bytes
+  // at byte offset `displ`.
+  auto byte_types = [G](const std::vector<std::size_t>& counts,
+                        const std::vector<std::size_t>& displs) {
+    std::vector<Subarray> types(G);
+    for (std::size_t j = 0; j < G; ++j) {
+      const auto n = static_cast<idx_t>(counts[j]);
+      const auto at = static_cast<idx_t>(displs[j]);
+      types[j] = {{1, 1, at + n}, {1, 1, n}, {0, 0, at}, 1};
     }
-    std::vector<obs::SpanArg> args;
-    if (run->with_args())
-      args = {{"bytes_sent", sent}, {"peers", static_cast<double>(peers)}};
-    // The span covers entry-to-exit virtual time, i.e. peer synchronization
-    // plus the exchange itself -- the same interval the aggregate trace
-    // books as communication.
-    run->tracer.complete(wrank_, obs::Category::Exchange,
-                         alg == net::CollectiveAlg::Alltoall
-                             ? "MPI_Alltoall"
-                             : "MPI_Alltoallv",
-                         t0, vtime() - t0, std::move(args));
-    run->metrics.counter("rank/" + std::to_string(wrank_) + "/bytes_sent")
-        .add(sent);
-  }
+    return types;
+  };
+  const std::vector<Subarray> stypes = byte_types(scounts, sdispls);
+  const std::vector<Subarray> rtypes = byte_types(rcounts, rdispls);
+  const Blocks blocks{sbuf, stypes, rbuf, rtypes};
+  exchange(row_of(stypes), alg, space, &blocks);
 }
 
 void Comm::alltoallw(const void* sbuf, const std::vector<Subarray>& stypes,
                      void* rbuf, const std::vector<Subarray>& rtypes,
                      MemSpace space) {
-  const int G = size();
-  PARFFT_CHECK(static_cast<int>(stypes.size()) == G &&
-                   static_cast<int>(rtypes.size()) == G,
+  const std::size_t G = static_cast<std::size_t>(size());
+  PARFFT_CHECK(stypes.size() == G && rtypes.size() == G,
                "datatype arrays must match communicator size");
-  const double t0 = vtime();
-
-  struct C {
-    const std::byte* sbuf;
-    const std::vector<Subarray>* stypes;
-    std::byte* rbuf;
-    const std::vector<Subarray>* rtypes;
-    int grank;
-    double out_time;
-  } mine{static_cast<const std::byte*>(sbuf), &stypes,
-         static_cast<std::byte*>(rbuf), &rtypes, grank_, 0.0};
-
-  auto& g = rt_->group(group_id_);
-  const net::TransferMode mode = mode_for(space);
-
-  // The datatype engine: copy a subarray out of src into dst layout. The
-  // leader has checked that the two shapes match.
-  auto copy_subarray = [](const std::byte* src, const Subarray& st,
-                          std::byte* dst, const Subarray& rt) {
-    const idx_t eb = static_cast<idx_t>(st.elem_bytes);
-    for (idx_t a = 0; a < st.sub[0]; ++a)
-      for (idx_t b = 0; b < st.sub[1]; ++b) {
-        const idx_t so =
-            (((a + st.off[0]) * st.full[1] + (b + st.off[1])) * st.full[2] +
-             st.off[2]) * eb;
-        const idx_t dofs =
-            (((a + rt.off[0]) * rt.full[1] + (b + rt.off[1])) * rt.full[2] +
-             rt.off[2]) * eb;
-        std::memcpy(dst + dofs, src + so,
-                    static_cast<std::size_t>(st.sub[2] * eb));
-      }
-  };
-
-  collective(
-      &mine,
-      [&g, G, mode, this](const ContribView& all) {
-        net::SendMatrix sends(static_cast<std::size_t>(G));
-        for (int i = 0; i < G; ++i) {
-          const C* ci = static_cast<const C*>(all[static_cast<std::size_t>(i)]);
-          for (int j = 0; j < G; ++j) {
-            const Subarray& st = (*ci->stypes)[static_cast<std::size_t>(j)];
-            if (!st.empty())
-              sends[static_cast<std::size_t>(i)].push_back({j, st.bytes()});
-          }
-        }
-        const net::PhaseTimes times = rt_->cost().exchange(
-            g.members, sends, net::CollectiveAlg::Alltoallw, mode,
-            rt_->options().flavor);
-        for (int i = 0; i < G; ++i) {
-          C* ci = const_cast<C*>(static_cast<const C*>(all[static_cast<std::size_t>(i)]));
-          ci->out_time = times.per_rank[static_cast<std::size_t>(i)];
-          for (int j = 0; j < G; ++j) {
-            const C* cj = static_cast<const C*>(all[static_cast<std::size_t>(j)]);
-            const Subarray& st = (*cj->stypes)[static_cast<std::size_t>(i)];
-            const Subarray& rt = (*ci->rtypes)[static_cast<std::size_t>(j)];
-            PARFFT_CHECK(st.empty() == rt.empty(),
-                         "alltoallw send/recv datatypes disagree");
-            PARFFT_CHECK(st.empty() || (st.sub == rt.sub &&
-                                        st.elem_bytes == rt.elem_bytes),
-                         "alltoallw matched datatypes must have equal shapes");
-          }
-        }
-      },
-      [&mine, &copy_subarray](const ContribView& all) {
-        // Reader: this rank pulls its subarray from every sender.
-        const std::size_t me = static_cast<std::size_t>(mine.grank);
-        for (std::size_t j = 0; j < all.size(); ++j) {
-          const C* cj = static_cast<const C*>(all[j]);
-          const Subarray& st = (*cj->stypes)[me];
-          if (st.empty()) continue;
-          copy_subarray(cj->sbuf, st, mine.rbuf, (*mine.rtypes)[j]);
-        }
-      },
-      [&mine](int, int) { return mine.out_time; });
-
-  if (obs::RunTrace* run = trace_run()) {
-    double sent = 0;
-    int peers = 0;
-    for (std::size_t j = 0; j < stypes.size(); ++j) {
-      if (stypes[j].empty()) continue;
-      sent += stypes[j].bytes();
-      if (static_cast<int>(j) != grank_) ++peers;
-      run->metrics.observe("exchange/message_bytes", stypes[j].bytes());
-    }
-    std::vector<obs::SpanArg> args;
-    if (run->with_args())
-      args = {{"bytes_sent", sent}, {"peers", static_cast<double>(peers)}};
-    run->tracer.complete(wrank_, obs::Category::Exchange, "MPI_Alltoallw",
-                         t0, vtime() - t0, std::move(args));
-    run->metrics.counter("rank/" + std::to_string(wrank_) + "/bytes_sent")
-        .add(sent);
-  }
+  const Blocks blocks{sbuf, stypes, rbuf, rtypes};
+  exchange(row_of(stypes), net::CollectiveAlg::Alltoallw, space, &blocks);
 }
 
 double Comm::settle_phase(
     const std::vector<std::pair<int, double>>& my_sends,
     net::CollectiveAlg alg, MemSpace space) {
   const double t0 = vtime();
-  struct C {
-    const std::vector<std::pair<int, double>>* sends;
-    double out_time;
-  } mine{&my_sends, 0.0};
-
-  auto& g = rt_->group(group_id_);
-  const net::TransferMode mode = mode_for(space);
-  const int G = size();
-  collective(
-      &mine,
-      [&g, G, alg, mode, this](const ContribView& all) {
-        net::SendMatrix sends(static_cast<std::size_t>(G));
-        for (int i = 0; i < G; ++i) {
-          const C* ci = static_cast<const C*>(all[static_cast<std::size_t>(i)]);
-          sends[static_cast<std::size_t>(i)] = *ci->sends;
-        }
-        const net::PhaseTimes times = rt_->cost().exchange(
-            g.members, sends, alg, mode, rt_->options().flavor);
-        for (int i = 0; i < G; ++i) {
-          C* ci = const_cast<C*>(static_cast<const C*>(all[static_cast<std::size_t>(i)]));
-          ci->out_time = times.per_rank[static_cast<std::size_t>(i)];
-        }
-      },
-      nullptr, [&mine](int, int) { return mine.out_time; });
-
+  const double out_time = exchange(my_sends, alg, space, nullptr);
   if (obs::RunTrace* run = trace_run()) {
     // The clock jumped to base + out_time: book [t0, base) as peer
     // synchronization and [base, base + out_time) as the exchange proper,
     // matching the out_time the aggregate trace records for P2P phases.
-    const double base = vtime() - mine.out_time;
+    const double base = vtime() - out_time;
     if (base > t0)
       run->tracer.complete(wrank_, obs::Category::Wait, "phase sync", t0,
                            base - t0);
@@ -750,9 +691,9 @@ double Comm::settle_phase(
               {"peers", static_cast<double>(my_sends.size())}};
     run->tracer.complete(wrank_, obs::Category::Exchange,
                          net::is_p2p(alg) ? "p2p phase" : "settled phase",
-                         base, mine.out_time, std::move(args));
+                         base, out_time, std::move(args));
   }
-  return mine.out_time;
+  return out_time;
 }
 
 Comm Comm::split(int color, int key) {

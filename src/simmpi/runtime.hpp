@@ -52,7 +52,8 @@ struct Status {
 /// `off` within a row-major `full`-shaped brick of `elem_bytes` elements.
 /// Used by the Alltoallw path (Algorithm 2 of the paper), where the MPI
 /// datatype engine walks the strided layout instead of the application
-/// packing into contiguous buffers.
+/// packing into contiguous buffers. An Alltoallv block is the
+/// one-dimensional case: `count` bytes at byte offset `displ`.
 struct Subarray {
   std::array<idx_t, 3> full{1, 1, 1};
   std::array<idx_t, 3> sub{0, 0, 0};
@@ -170,7 +171,8 @@ class Comm {
   /// selects the cost model: Alltoall pads every block to the maximum
   /// block size (heFFTe's padded variant), Alltoallv uses exact counts.
   /// Data movement is identical; only the virtual time differs, exactly
-  /// the distinction the paper measures (Fig. 6).
+  /// the distinction the paper measures (Fig. 6). Alltoallv, Alltoallw and
+  /// settle_phase share one priced exchange (see exchange() below).
   void alltoallv(const void* sbuf, const std::vector<std::size_t>& scounts,
                  const std::vector<std::size_t>& sdispls, void* rbuf,
                  const std::vector<std::size_t>& rcounts,
@@ -213,7 +215,9 @@ class Comm {
   /// member runs `reader` concurrently and outside the group lock (so a
   /// reader may read any contribution but write only its own buffers),
   /// and finally every member's clock becomes
-  /// max(entry clocks) + exit_cost(my group rank, group size).
+  /// max(entry clocks) + exit_cost(my group rank, group size). A leader
+  /// that throws withdraws its contribution and fails the run; the other
+  /// members withdraw theirs as the run aborts.
   using ContribView = std::vector<const void*>;
   void collective(const void* contribution,
                   const std::function<void(const ContribView&)>& leader,
@@ -230,6 +234,27 @@ class Comm {
       : rt_(rt), group_id_(group_id), grank_(grank), wrank_(wrank) {}
 
   net::TransferMode mode_for(MemSpace space) const;
+
+  /// (dst group rank, bytes) for each block a rank sends.
+  using SendRow = std::vector<std::pair<int, double>>;
+  /// The buffers of an alltoallv/alltoallw call, with one datatype per
+  /// peer on each side (an alltoallv block is a one-dimensional byte
+  /// subarray).
+  struct Blocks {
+    const void* sbuf;
+    const std::vector<Subarray>& stypes;
+    void* rbuf;
+    const std::vector<Subarray>& rtypes;
+  };
+  /// The one priced exchange behind alltoallv, alltoallw and settle_phase.
+  /// Each member brings its own send row. The leader checks that every
+  /// matched pair of datatypes agrees, then prices the rows with
+  /// CommCost::exchange; with `blocks`, every rank then copies the blocks
+  /// addressed to it outside the group lock and records one exchange span.
+  /// settle_phase passes no blocks: its data already moved point to point.
+  /// Returns this rank's communication time.
+  double exchange(const SendRow& row, net::CollectiveAlg alg, MemSpace space,
+                  const Blocks* blocks);
 
   Runtime* rt_ = nullptr;
   int group_id_ = -1;

@@ -6,7 +6,9 @@
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <numeric>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -81,6 +83,31 @@ TEST(Runtime, AbortedArrivalWithdrawsItsContribution) {
   } catch (const Error& e) {
     EXPECT_STREQ(e.what(), "rank two failed");
   }
+}
+
+/// A leader whose checks throw withdraws its own arrival: the next run on
+/// the same Runtime must start from an empty rendezvous, not complete its
+/// first collective one member early on the failed run's dead
+/// contribution.
+TEST(Runtime, ThrowingLeaderLeavesRuntimeReusable) {
+  const int G = 3;
+  Runtime rt(small_opts(G));
+  EXPECT_THROW(rt.run([](Comm& c) {
+                 std::vector<std::size_t> counts(G, 8), displs{0, 8, 16};
+                 std::vector<std::size_t> rcounts = counts;
+                 if (c.rank() == 1) rcounts[2] = 4;  // rank 2 sends 8 bytes
+                 std::vector<std::byte> sbuf(24), rbuf(24);
+                 c.alltoallv(sbuf.data(), counts, displs, rbuf.data(),
+                             rcounts, displs);
+               }),
+               Error);
+  std::vector<int> sums(G, 0);
+  rt.run([&sums](Comm& c) {
+    int v = c.rank() + 1;
+    c.allreduce(&v, 1, Op::Sum);
+    sums[static_cast<std::size_t>(c.rank())] = v;
+  });
+  EXPECT_EQ(sums, std::vector<int>(G, 6));
 }
 
 TEST(P2P, SendRecvMovesData) {
@@ -442,6 +469,54 @@ TEST(Collectives, AlltoallwMovesSubarrays) {
   });
 }
 
+/// The message of the error a run fails with, or "" when it succeeds.
+std::string run_error(int nranks, const std::function<void(Comm&)>& fn) {
+  Runtime rt(small_opts(nranks));
+  try {
+    rt.run(fn);
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// The exchange leader checks every matched pair of blocks before pricing;
+// a pair that disagrees fails the run with an error naming the routine.
+TEST(Collectives, AlltoallvRejectsMismatchedCounts) {
+  const std::string err = run_error(3, [](Comm& c) {
+    std::vector<std::size_t> counts(3, 8), displs{0, 8, 16};
+    std::vector<std::size_t> rcounts = counts;
+    if (c.rank() == 1) rcounts[2] = 4;  // rank 2 sends 8 bytes to rank 1
+    std::vector<std::byte> sbuf(24), rbuf(24);
+    c.alltoallv(sbuf.data(), counts, displs, rbuf.data(), rcounts, displs);
+  });
+  EXPECT_NE(err.find("alltoallv"), std::string::npos) << err;
+}
+
+TEST(Collectives, AlltoallwRejectsSendTypeWithoutReceiveType) {
+  const std::string err = run_error(2, [](Comm& c) {
+    std::vector<double> brick(8), out(8);
+    std::vector<Subarray> stypes(2), rtypes(2);
+    if (c.rank() == 0)
+      stypes[1] = {{1, 2, 4}, {1, 2, 4}, {0, 0, 0}, sizeof(double)};
+    c.alltoallw(brick.data(), stypes, out.data(), rtypes);
+  });
+  EXPECT_NE(err.find("alltoallw"), std::string::npos) << err;
+}
+
+TEST(Collectives, AlltoallwRejectsTransposedShapeOfEqualBytes) {
+  const std::string err = run_error(2, [](Comm& c) {
+    std::vector<double> brick(16), out(16);
+    std::vector<Subarray> stypes(2), rtypes(2);
+    if (c.rank() == 0)
+      stypes[1] = {{1, 4, 4}, {1, 2, 4}, {0, 0, 0}, sizeof(double)};
+    else
+      rtypes[0] = {{1, 4, 4}, {1, 4, 2}, {0, 0, 0}, sizeof(double)};
+    c.alltoallw(brick.data(), stypes, out.data(), rtypes);
+  });
+  EXPECT_NE(err.find("alltoallw"), std::string::npos) << err;
+}
+
 TEST(Collectives, SettlePhaseRaisesClocksConsistently) {
   Runtime rt(small_opts(4));
   rt.run([](Comm& c) {
@@ -593,37 +668,127 @@ TEST(VirtualTime, GpuAwareFasterThanStagedForDeviceBuffers) {
 }
 
 TEST(VirtualTime, CollectiveTimingMatchesCostModel) {
-  // Threaded-mode alltoallv must charge exactly the CommCost estimate
-  // (same machine, same counts) -- the consistency contract between the
-  // two execution modes.
+  // Every priced exchange of the threaded runtime (alltoallv under both
+  // cost models, alltoallw, settle_phase) must leave each rank's clock at
+  // exactly the CommCost estimate for the same rows, machine and transfer
+  // path -- the consistency contract between the two execution modes.
   const int G = 12;
+  const std::size_t g = G;
   RuntimeOptions o = small_opts(G);
   Runtime rt(o);
-  std::vector<double> vt(G);
-  const std::size_t block = 1 << 20;
-  rt.run([&](Comm& c) {
-    std::vector<std::size_t> counts(G, block), displs(G);
-    for (int j = 0; j < G; ++j)
-      displs[static_cast<std::size_t>(j)] = static_cast<std::size_t>(j) * block;
-    std::vector<std::byte> sbuf(G * block), rbuf(G * block);
-    c.alltoallv(sbuf.data(), counts, displs, rbuf.data(), counts, displs,
-                MemSpace::Device);
-    vt[static_cast<std::size_t>(c.rank())] = c.vtime();
-  });
-
-  net::SendMatrix sends(G);
-  for (int i = 0; i < G; ++i)
-    for (int j = 0; j < G; ++j)
-      sends[static_cast<std::size_t>(i)].push_back({j, static_cast<double>(block)});
   std::vector<int> group(G);
   std::iota(group.begin(), group.end(), 0);
-  const auto want = rt.cost().exchange(group, sends,
-                                       net::CollectiveAlg::Alltoallv,
-                                       net::TransferMode::GpuAware,
-                                       net::MpiFlavor::SpectrumMPI);
-  for (int i = 0; i < G; ++i)
-    EXPECT_NEAR(vt[static_cast<std::size_t>(i)],
-                want.per_rank[static_cast<std::size_t>(i)], 1e-12);
+  // Uneven rows: 0..4 units of 48 KiB from rank i to rank j, with empty
+  // blocks (self-blocks included).
+  auto uneven = [](int i, int j) {
+    return static_cast<std::size_t>((i * 7 + j * 3) % 5) * (48 << 10);
+  };
+  auto rows_of = [g](const auto& bytes) {
+    net::SendMatrix sends(g);
+    for (int i = 0; i < G; ++i)
+      for (int j = 0; j < G; ++j)
+        if (const std::size_t b = bytes(i, j); b > 0)
+          sends[static_cast<std::size_t>(i)].push_back(
+              {j, static_cast<double>(b)});
+    return sends;
+  };
+  auto expect_priced = [&](const std::vector<double>& vt,
+                           const net::SendMatrix& sends,
+                           net::CollectiveAlg alg, net::TransferMode mode,
+                           const char* what) {
+    const auto want = rt.cost().exchange(group, sends, alg, mode,
+                                         net::MpiFlavor::SpectrumMPI);
+    for (std::size_t i = 0; i < g; ++i)
+      EXPECT_EQ(vt[i], want.per_rank[i]) << what << " rank " << i;
+    return want;
+  };
+
+  auto run_alltoallv = [&](const auto& bytes, net::CollectiveAlg alg) {
+    std::vector<double> vt(g);
+    rt.run([&](Comm& c) {
+      const int me = c.rank();
+      std::vector<std::size_t> sc(g), sd(g), rc(g), rd(g);
+      std::size_t so = 0, ro = 0;
+      for (int j = 0; j < G; ++j) {
+        const auto uj = static_cast<std::size_t>(j);
+        sc[uj] = bytes(me, j);
+        sd[uj] = so;
+        so += sc[uj];
+        rc[uj] = bytes(j, me);
+        rd[uj] = ro;
+        ro += rc[uj];
+      }
+      std::vector<std::byte> sbuf(so), rbuf(ro);
+      c.alltoallv(sbuf.data(), sc, sd, rbuf.data(), rc, rd, MemSpace::Device,
+                  alg);
+      vt[static_cast<std::size_t>(me)] = c.vtime();
+    });
+    return vt;
+  };
+  auto uniform = [](int, int) -> std::size_t { return 1 << 20; };
+  expect_priced(run_alltoallv(uniform, net::CollectiveAlg::Alltoallv),
+                rows_of(uniform), net::CollectiveAlg::Alltoallv,
+                net::TransferMode::GpuAware, "uniform alltoallv");
+  for (net::CollectiveAlg alg :
+       {net::CollectiveAlg::Alltoall, net::CollectiveAlg::Alltoallv})
+    expect_priced(run_alltoallv(uneven, alg), rows_of(uneven), alg,
+                  net::TransferMode::GpuAware, "uneven alltoallv");
+
+  // Alltoallw: the block to rank j is a 2 x n slab of row j of a
+  // G x 2 x 4 Ki brick of complex elements, n from the uneven rows.
+  auto slab = [](int i, int j) {
+    return static_cast<idx_t>((i * 7 + j * 3) % 5) * 1024;
+  };
+  auto slab_bytes = [&slab](int i, int j) {
+    return static_cast<std::size_t>(2 * slab(i, j)) * sizeof(cplx);
+  };
+  auto run_alltoallw = [&](MemSpace space) {
+    std::vector<double> vt(g);
+    rt.run([&](Comm& c) {
+      const int me = c.rank();
+      const std::array<idx_t, 3> full{G, 2, 4096};
+      std::vector<cplx> brick(g * 2 * 4096), out(brick.size());
+      std::vector<Subarray> st(g), rtypes(g);
+      for (int j = 0; j < G; ++j) {
+        const auto uj = static_cast<std::size_t>(j);
+        st[uj] = {full, {1, 2, slab(me, j)}, {j, 0, 0}, sizeof(cplx)};
+        rtypes[uj] = {full, {1, 2, slab(j, me)}, {j, 0, 0}, sizeof(cplx)};
+      }
+      c.alltoallw(brick.data(), st, out.data(), rtypes, space);
+      vt[static_cast<std::size_t>(me)] = c.vtime();
+    });
+    return vt;
+  };
+  // SpectrumMPI has no GPU-aware Alltoallw: the GpuAware price is the
+  // Staged one.
+  const auto aware = expect_priced(
+      run_alltoallw(MemSpace::Device), rows_of(slab_bytes),
+      net::CollectiveAlg::Alltoallw, net::TransferMode::GpuAware,
+      "alltoallw device");
+  EXPECT_EQ(aware.per_rank,
+            rt.cost()
+                .exchange(group, rows_of(slab_bytes),
+                          net::CollectiveAlg::Alltoallw,
+                          net::TransferMode::Staged,
+                          net::MpiFlavor::SpectrumMPI)
+                .per_rank);
+  expect_priced(run_alltoallw(MemSpace::Host), rows_of(slab_bytes),
+                net::CollectiveAlg::Alltoallw, net::TransferMode::Host,
+                "alltoallw host");
+
+  // settle_phase prices rows whose data moved point to point.
+  const net::SendMatrix rows = rows_of(uneven);
+  for (net::CollectiveAlg alg : {net::CollectiveAlg::P2PNonBlocking,
+                                 net::CollectiveAlg::P2PBlocking}) {
+    std::vector<double> vt(g);
+    rt.run([&](Comm& c) {
+      c.settle_phase(rows[static_cast<std::size_t>(c.rank())], alg,
+                     MemSpace::Device);
+      vt[static_cast<std::size_t>(c.rank())] = c.vtime();
+    });
+    expect_priced(vt, rows, alg, net::TransferMode::GpuAware,
+                  "settle_phase");
+  }
 }
 
 }  // namespace
