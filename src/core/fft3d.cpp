@@ -27,19 +27,15 @@ Fft3D::Fft3D(smpi::Comm& comm, const std::array<int, 3>& n,
   }
 }
 
-void Fft3D::apply_scale(std::vector<cplx>& data, Scale scale) {
+void Fft3D::apply_scale(Plan3D& p, std::vector<cplx>& data, Scale scale) {
   if (scale == Scale::None) return;
   const double f = scale == Scale::Full
                        ? 1.0 / static_cast<double>(total_)
                        : 1.0 / std::sqrt(static_cast<double>(total_));
   for (auto& v : data) v *= f;
-  const double t = gpu::pointwise_cost(
-      comm_.options().device, static_cast<double>(data.size()) * sizeof(cplx));
-  comm_.advance(t);
-  plan_.trace().add_scale(t);
-  if (obs::RunTrace* run = comm_.trace_run(); run != nullptr && t > 0)
-    run->tracer.complete(comm_.world_rank(), obs::Category::Scale, "scale",
-                         comm_.vtime() - t, t);
+  charge(comm_, &p.trace(), obs::Category::Scale, "scale",
+         gpu::pointwise_cost(comm_.options().device,
+                             static_cast<double>(data.size()) * sizeof(cplx)));
 }
 
 void Fft3D::forward(const std::vector<cplx>& in, std::vector<cplx>& out,
@@ -49,18 +45,18 @@ void Fft3D::forward(const std::vector<cplx>& in, std::vector<cplx>& out,
                "input size does not match the inbox");
   out.resize(static_cast<std::size_t>(size_outbox() * batch));
   plan_.execute(in.data(), out.data(), dft::Direction::Forward);
-  apply_scale(out, scale);
+  apply_scale(plan_, out, scale);
 }
 
 void Fft3D::backward(const std::vector<cplx>& in, std::vector<cplx>& out,
                      Scale scale) {
-  Plan3D& p = bwd_ ? *bwd_ : plan_;
+  Plan3D& p = backward_plan();
   const auto batch = static_cast<idx_t>(p.stage_plan().options.batch);
   PARFFT_CHECK(static_cast<idx_t>(in.size()) == size_outbox() * batch,
                "input size does not match the outbox");
   out.resize(static_cast<std::size_t>(size_inbox() * batch));
   p.execute(in.data(), out.data(), dft::Direction::Backward);
-  apply_scale(out, scale);
+  apply_scale(p, out, scale);
 }
 
 }  // namespace parfft::core

@@ -46,9 +46,13 @@ class Fft3D {
 
   Plan3D& plan() { return plan_; }
   const Plan3D& plan() const { return plan_; }
+  /// The pipeline backward() runs and charges its scale pass to: the
+  /// reversed one when the layouts differ, else plan().
+  Plan3D& backward_plan() { return bwd_ ? *bwd_ : plan_; }
 
  private:
-  void apply_scale(std::vector<cplx>& data, Scale scale);
+  /// Scales `data` and charges the pass to `p`, the plan that produced it.
+  void apply_scale(Plan3D& p, std::vector<cplx>& data, Scale scale);
 
   smpi::Comm& comm_;
   std::array<int, 3> n_;

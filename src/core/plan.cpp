@@ -28,14 +28,23 @@ std::vector<Box3> allgather_boxes(smpi::Comm& comm, const Box3& mine) {
   return boxes;
 }
 
+void charge(smpi::Comm& comm, Trace* trace, obs::Category cat,
+            const char* name, double t, std::vector<obs::SpanArg> args) {
+  comm.advance(t);
+  if (trace != nullptr) trace->add(cat, name, t);
+  if (obs::RunTrace* run = comm.trace_run(); run != nullptr && t > 0)
+    run->tracer.complete(comm.world_rank(), cat, name, comm.vtime() - t, t,
+                         std::move(args));
+}
+
 namespace {
 
 /// Pack half of a packed reshape: packs this rank's outgoing regions into
-/// `sendbuf` (ascending peer, batch-major within a region), charges the
-/// pack kernel and returns its time.
+/// `sendbuf` (ascending peer, batch-major within a region) and charges
+/// the pack kernel.
 template <typename T>
-double pack_sends(smpi::Comm& comm, const ReshapePlan& rp, int batch,
-                  const T* in, std::vector<T>& sendbuf) {
+void pack_sends(smpi::Comm& comm, const ReshapePlan& rp, int batch,
+                const T* in, std::vector<T>& sendbuf, Trace* trace) {
   const int me = comm.rank();
   const Box3& from = rp.from()[static_cast<std::size_t>(me)];
   const std::vector<Transfer>& sends = rp.sends(me);
@@ -48,24 +57,19 @@ double pack_sends(smpi::Comm& comm, const ReshapePlan& rp, int batch,
                  sendbuf.data() + off + static_cast<idx_t>(b) * cnt);
     off += cnt * batch;
   }
-  const double t =
-      pack_kernel_time(comm.options().device, from, sends, batch, sizeof(T));
-  comm.advance(t);
-  if (obs::RunTrace* run = comm.trace_run()) {
-    if (t > 0)
-      run->tracer.complete(comm.world_rank(), obs::Category::Pack, "pack",
-                           comm.vtime() - t, t);
+  charge(comm, trace, obs::Category::Pack, "pack",
+         pack_kernel_time(comm.options().device, from, sends, batch,
+                          sizeof(T)));
+  if (obs::RunTrace* run = comm.trace_run())
     run->metrics.observe("reshape/fanout", static_cast<double>(sends.size()));
-  }
-  return t;
 }
 
 /// Unpack half: scatters the received regions (laid out as pack_sends
-/// lays them out) into the `batch` bricks `out`, charges the unpack
-/// kernel and returns its time.
+/// lays them out) into the `batch` bricks `out` and charges the unpack
+/// kernel.
 template <typename T>
-double unpack_recvs(smpi::Comm& comm, const ReshapePlan& rp, int batch,
-                    const T* recvbuf, T* out) {
+void unpack_recvs(smpi::Comm& comm, const ReshapePlan& rp, int batch,
+                  const T* recvbuf, T* out, Trace* trace) {
   const int me = comm.rank();
   const Box3& to = rp.to()[static_cast<std::size_t>(me)];
   const std::vector<Transfer>& recvs = rp.recvs(me);
@@ -77,27 +81,21 @@ double unpack_recvs(smpi::Comm& comm, const ReshapePlan& rp, int batch,
                    out + static_cast<idx_t>(b) * to.count());
     off += cnt * batch;
   }
-  const double t =
-      pack_kernel_time(comm.options().device, to, recvs, batch, sizeof(T));
-  comm.advance(t);
-  if (obs::RunTrace* run = comm.trace_run(); run != nullptr && t > 0)
-    run->tracer.complete(comm.world_rank(), obs::Category::Unpack, "unpack",
-                         comm.vtime() - t, t);
-  return t;
+  charge(comm, trace, obs::Category::Unpack, "unpack",
+         pack_kernel_time(comm.options().device, to, recvs, batch,
+                          sizeof(T)));
 }
 
 }  // namespace
 
 template <typename T>
-PackedReshapeTimes packed_reshape(smpi::Comm& comm, const ReshapePlan& rp,
-                                  int batch, const T* in, T* out,
-                                  net::CollectiveAlg alg,
-                                  std::vector<T>& sendbuf,
-                                  std::vector<T>& recvbuf) {
+void packed_reshape(smpi::Comm& comm, const ReshapePlan& rp, int batch,
+                    const T* in, T* out, net::CollectiveAlg alg,
+                    std::vector<T>& sendbuf, std::vector<T>& recvbuf,
+                    Trace* trace) {
   const int me = comm.rank();
   const auto R = static_cast<std::size_t>(comm.size());
-  PackedReshapeTimes times;
-  times.pack = pack_sends(comm, rp, batch, in, sendbuf);
+  pack_sends(comm, rp, batch, in, sendbuf, trace);
 
   // Byte counts and displacements per peer, in pack order.
   std::vector<std::size_t> scounts(R, 0), sdispls(R, 0), rcounts(R, 0),
@@ -121,17 +119,23 @@ PackedReshapeTimes packed_reshape(smpi::Comm& comm, const ReshapePlan& rp,
   const double t0 = comm.vtime();
   comm.alltoallv(sendbuf.data(), scounts, sdispls, recvbuf.data(), rcounts,
                  rdispls, smpi::MemSpace::Device, alg);
-  times.comm = comm.vtime() - t0;
-  times.unpack = unpack_recvs(comm, rp, batch, recvbuf.data(), out);
-  return times;
+  if (trace != nullptr)
+    trace->add(obs::Category::Exchange,
+               alg == net::CollectiveAlg::Alltoall ? "MPI_Alltoall"
+                                                   : "MPI_Alltoallv",
+               comm.vtime() - t0);
+  unpack_recvs(comm, rp, batch, recvbuf.data(), out, trace);
 }
 
-template PackedReshapeTimes packed_reshape<cplx>(
-    smpi::Comm&, const ReshapePlan&, int, const cplx*, cplx*,
-    net::CollectiveAlg, std::vector<cplx>&, std::vector<cplx>&);
-template PackedReshapeTimes packed_reshape<double>(
-    smpi::Comm&, const ReshapePlan&, int, const double*, double*,
-    net::CollectiveAlg, std::vector<double>&, std::vector<double>&);
+template void packed_reshape<cplx>(smpi::Comm&, const ReshapePlan&, int,
+                                   const cplx*, cplx*, net::CollectiveAlg,
+                                   std::vector<cplx>&, std::vector<cplx>&,
+                                   Trace*);
+template void packed_reshape<double>(smpi::Comm&, const ReshapePlan&, int,
+                                     const double*, double*,
+                                     net::CollectiveAlg,
+                                     std::vector<double>&,
+                                     std::vector<double>&, Trace*);
 
 Plan3D::Plan3D(smpi::Comm& comm, const std::array<int, 3>& n,
                const Box3& inbox, const Box3& outbox, const PlanOptions& opt)
@@ -184,17 +188,24 @@ void Plan3D::execute(const cplx* in, cplx* out, dft::Direction dir) {
                       comm_.vtime(), std::move(args));
   }
 
-  for (const Stage& stage : plan_.stages) {
-    if (stage.kind == Stage::Kind::Reshape) {
-      if (run != nullptr)
-        run->tracer.begin(wrank, obs::Category::Reshape, "reshape",
-                          comm_.vtime());
-      run_reshape(stage, tag_counter_);
-      if (run != nullptr) run->tracer.end(wrank, comm_.vtime());
-      tag_counter_ += 1;
-    } else {
-      run_fft(stage, dir);
+  for (std::size_t i = 0; i < plan_.stages.size(); ++i) {
+    const Stage& stage = plan_.stages[i];
+    if (stage.kind == Stage::Kind::Fft) {
+      run_fft(i, dir);
+      continue;
     }
+    if (run != nullptr)
+      run->tracer.begin(wrank, obs::Category::Reshape, "reshape",
+                        comm_.vtime());
+    if (backend_is_datatype(plan_.options.backend)) {
+      run_reshape_datatype(stage);
+    } else if (backend_is_p2p(plan_.options.backend)) {
+      run_reshape_p2p(stage, tag_counter_);
+    } else {
+      run_reshape_collective(stage);
+    }
+    if (run != nullptr) run->tracer.end(wrank, comm_.vtime());
+    tag_counter_ += 1;
   }
 
   // Settle the pipelined-batch charge before the (once-per-batch) scaling
@@ -207,12 +218,8 @@ void Plan3D::execute(const cplx* in, cplx* out, dft::Direction dir) {
     for (auto& v : work_) v *= inv;
     const double bytes =
         static_cast<double>(outbox_.count()) * batch * sizeof(cplx);
-    const double t = gpu::pointwise_cost(dev_, bytes);
-    comm_.advance(t);
-    trace_.add_scale(t);
-    if (run != nullptr)
-      run->tracer.complete(wrank, obs::Category::Scale, "scale",
-                           comm_.vtime() - t, t);
+    charge(comm_, &trace_, obs::Category::Scale, "scale",
+           gpu::pointwise_cost(dev_, bytes));
   }
 
   if (run != nullptr) run->tracer.end(wrank, comm_.vtime());
@@ -273,16 +280,6 @@ void Plan3D::overlap_settle(double base) {
       [&seq_max, target](int, int) { return target - seq_max; });
 }
 
-void Plan3D::run_reshape(const Stage& stage, int tag_base) {
-  if (backend_is_datatype(plan_.options.backend)) {
-    run_reshape_datatype(stage);
-  } else if (backend_is_p2p(plan_.options.backend)) {
-    run_reshape_p2p(stage, tag_base);
-  } else {
-    run_reshape_collective(stage);
-  }
-}
-
 void Plan3D::run_reshape_collective(const Stage& stage) {
   const ReshapePlan& rp = stage.reshape;
   const int batch = plan_.options.batch;
@@ -290,18 +287,15 @@ void Plan3D::run_reshape_collective(const Stage& stage) {
       static_cast<std::size_t>(
           rp.to()[static_cast<std::size_t>(comm_.rank())].count() * batch),
       cplx{});
-  const PackedReshapeTimes t =
-      packed_reshape(comm_, rp, batch, work_.data(), work2_.data(),
-                     to_alg(plan_.options.backend), sendbuf_, recvbuf_);
-  trace_.add_pack(t.pack);
-  trace_.add_comm(backend_name(plan_.options.backend), t.comm);
-  trace_.add_unpack(t.unpack);
+  packed_reshape(comm_, rp, batch, work_.data(), work2_.data(),
+                 to_alg(plan_.options.backend), sendbuf_, recvbuf_, &trace_);
   work_.swap(work2_);
 }
 
 void Plan3D::run_reshape_datatype(const Stage& stage) {
   // Algorithm 2: no packing; MPI derived sub-array datatypes describe the
-  // strided regions directly.
+  // strided regions of one brick directly, so a batch is `batch` calls
+  // (the datatype rules of stage_kernels()).
   const ReshapePlan& rp = stage.reshape;
   const int R = comm_.size();
   const int me = comm_.rank();
@@ -332,7 +326,7 @@ void Plan3D::run_reshape_datatype(const Stage& stage) {
                     stypes,
                     work2_.data() + static_cast<idx_t>(b) * to.count(),
                     rtypes, space_);
-  trace_.add_comm("MPI_Alltoallw", comm_.vtime() - t0);
+  trace_.add(obs::Category::Exchange, "MPI_Alltoallw", comm_.vtime() - t0);
   work_.swap(work2_);
 }
 
@@ -342,7 +336,7 @@ void Plan3D::run_reshape_p2p(const Stage& stage, int tag_base) {
   const int batch = plan_.options.batch;
   const bool blocking = plan_.options.backend == Backend::P2PBlocking;
 
-  trace_.add_pack(pack_sends(comm_, rp, batch, work_.data(), sendbuf_));
+  pack_sends(comm_, rp, batch, work_.data(), sendbuf_, &trace_);
 
   // Post receives (MPI_Irecv), then sends; data transport is untimed here
   // -- the whole phase is settled with the congestion-aware model below.
@@ -382,91 +376,67 @@ void Plan3D::run_reshape_p2p(const Stage& stage, int tag_base) {
   // MPI_Waitany loop until every receive landed.
   while (comm_.waitany(reqs) != -1) {
   }
-  const double comm_t = comm_.settle_phase(
-      phase_sends, to_alg(plan_.options.backend), space_);
-  trace_.add_comm(backend_name(plan_.options.backend), comm_t);
+  trace_.add(obs::Category::Exchange, backend_name(plan_.options.backend),
+             comm_.settle_phase(phase_sends, to_alg(plan_.options.backend),
+                                space_));
 
   work2_.assign(
       static_cast<std::size_t>(
           rp.to()[static_cast<std::size_t>(me)].count() * batch),
       cplx{});
-  trace_.add_unpack(
-      unpack_recvs(comm_, rp, batch, recvbuf_.data(), work2_.data()));
+  unpack_recvs(comm_, rp, batch, recvbuf_.data(), work2_.data(), &trace_);
   work_.swap(work2_);
 }
 
-void Plan3D::run_fft(const Stage& stage, dft::Direction dir) {
+namespace {
+
+/// Moves the data of Fft kernel `k` on the `batch` bricks `box` in `work`.
+void transform_axis(std::vector<cplx>& work, std::vector<cplx>& scratch,
+                    const Box3& box, const Kernel& k, int batch,
+                    dft::Direction dir) {
+  const idx_t count = box.count();
+  if (k.strided || k.axis == 2) {
+    // Strided (or already contiguous) execution straight on the brick.
+    const std::array<int, 3> dims = {static_cast<int>(box.size(0)),
+                                     static_cast<int>(box.size(1)),
+                                     static_cast<int>(box.size(2))};
+    for (int b = 0; b < batch; ++b)
+      dft::fft3d_axis(work.data() + b * count, dims, k.axis, dir);
+    return;
+  }
+  // heFFTe's reorder path: transpose to contiguous lines, transform,
+  // transpose back.
+  scratch.resize(work.size());
+  for (int b = 0; b < batch; ++b)
+    transpose_to_lines(work.data() + b * count, box, k.axis,
+                       scratch.data() + b * count);
+  dft::ManyPlan(k.len, {.count = k.lines})
+      .execute(scratch.data(), scratch.data(), dir);
+  for (int b = 0; b < batch; ++b)
+    transpose_from_lines(scratch.data() + b * count, box, k.axis,
+                         work.data() + b * count);
+}
+
+}  // namespace
+
+void Plan3D::run_fft(std::size_t stage, dft::Direction dir) {
   const int me = comm_.rank();
-  const Box3& box = stage.boxes[static_cast<std::size_t>(me)];
-  if (box.empty()) return;
+  const Box3& box = plan_.stages[stage].boxes[static_cast<std::size_t>(me)];
   const int batch = plan_.options.batch;
-  const std::array<int, 3> dims = {static_cast<int>(box.size(0)),
-                                   static_cast<int>(box.size(1)),
-                                   static_cast<int>(box.size(2))};
-  for (int axis : stage.axes) {
-    const int len = dims[static_cast<std::size_t>(axis)];
-    const idx_t lines = box.count() / len;
-    const bool naturally_contiguous = axis == 2;
-    if (naturally_contiguous || !plan_.options.contiguous_fft) {
-      // Strided (or already contiguous) execution straight on the brick.
-      for (int b = 0; b < batch; ++b)
-        dft::fft3d_axis(work_.data() + static_cast<idx_t>(b) * box.count(),
-                        dims, axis, dir);
-      const double t = fft_cache_.fft_call(
-          dev_, len, static_cast<int>(lines) * batch,
-          /*strided=*/!naturally_contiguous);
-      comm_.advance(t);
-      trace_.add_fft(t, !naturally_contiguous);
-      if (obs::RunTrace* run = comm_.trace_run()) {
-        std::vector<obs::SpanArg> args;
-        if (run->with_args())
-          args = {{"axis", static_cast<double>(axis)},
-                  {"len", static_cast<double>(len)},
-                  {"batches", static_cast<double>(lines) * batch}};
-        run->tracer.complete(
-            comm_.world_rank(), obs::Category::Fft,
-            naturally_contiguous ? "fft(contiguous)" : "fft(strided)",
-            comm_.vtime() - t, t, std::move(args));
-      }
-    } else {
-      // heFFTe's reorder path: transpose to contiguous lines, transform,
-      // transpose back. Costs two local repacks but a contiguous FFT.
-      const double bytes = static_cast<double>(box.count()) * batch *
-                           static_cast<double>(sizeof(cplx));
-      work2_.resize(work_.size());
-      double pack_t = 0;
-      for (int b = 0; b < batch; ++b)
-        transpose_to_lines(work_.data() + static_cast<idx_t>(b) * box.count(),
-                           box, axis,
-                           work2_.data() + static_cast<idx_t>(b) * box.count());
-      pack_t += gpu::pack_cost(dev_, bytes, sizeof(cplx) * 1.0);
-      dft::ManyPlan mp(len, {.count = static_cast<int>(lines) * batch});
-      mp.execute(work2_.data(), work2_.data(), dir);
-      const double t = fft_cache_.fft_call(
-          dev_, len, static_cast<int>(lines) * batch, /*strided=*/false);
-      for (int b = 0; b < batch; ++b)
-        transpose_from_lines(
-            work2_.data() + static_cast<idx_t>(b) * box.count(), box, axis,
-            work_.data() + static_cast<idx_t>(b) * box.count());
-      pack_t += gpu::pack_cost(dev_, bytes, sizeof(cplx) * 1.0);
-      comm_.advance(pack_t + t);
-      trace_.add_pack(pack_t);
-      trace_.add_fft(t, false);
-      if (obs::RunTrace* run = comm_.trace_run()) {
-        // Two equal transposes bracket the contiguous FFT; splitting
-        // pack_t in half keeps the Pack span sum identical to the
-        // aggregate value recorded above.
-        const int wrank = comm_.world_rank();
-        const double end = comm_.vtime();
-        const double half = pack_t / 2.0;
-        run->tracer.complete(wrank, obs::Category::Pack, "transpose",
-                             end - pack_t - t, half);
-        run->tracer.complete(wrank, obs::Category::Fft, "fft(contiguous)",
-                             end - (pack_t - half) - t, t);
-        run->tracer.complete(wrank, obs::Category::Pack, "transpose",
-                             end - (pack_t - half), pack_t - half);
-      }
+  for (const Kernel& k : stage_kernels(plan_, stage, me, batch, dev_)) {
+    // A Reorder kernel charges the transposes the Fft kernel after it runs.
+    double t = k.seconds;
+    std::vector<obs::SpanArg> args;
+    if (k.kind == KernelKind::Fft) {
+      transform_axis(work_, work2_, box, k, batch, dir);
+      t = fft_cache_.fft_call(dev_, k.len, k.lines, k.strided);
+      if (obs::RunTrace* run = comm_.trace_run(); run && run->with_args())
+        args = {{"axis", static_cast<double>(k.axis)},
+                {"len", static_cast<double>(k.len)},
+                {"batches", static_cast<double>(k.lines)}};
     }
+    charge(comm_, &trace_, kernel_category(k.kind), kernel_name(k), t,
+           std::move(args));
   }
 }
 

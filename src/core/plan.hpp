@@ -10,6 +10,7 @@
 /// data while charging Summit-like virtual time to each rank's clock.
 
 #include <array>
+#include <cstddef>
 #include <vector>
 
 #include "core/stages.hpp"
@@ -39,13 +40,11 @@ class Plan3D {
   /// allowed when the buffer fits both layouts. Forward is unnormalized;
   /// Backward applies options.scaling.
   ///
-  /// With options.batch > 1 and options.overlap_batches, the data still
-  /// moves stage by stage (bit-exact results), but the virtual-time
-  /// charge is the two-stream pipelined schedule of Fig. 13 -- the same
-  /// core::overlapped_batch_time() the at-scale simulator prices, so both
-  /// execution modes report identical batched costs. The per-category
-  /// trace() breakdown keeps the sequential component times (their sum
-  /// exceeds the pipelined wall time by exactly the overlapped portion).
+  /// An FFT stage charges this rank's stage_kernels() (core/simulate.hpp),
+  /// the kernels the simulator prices. With options.batch > 1 and
+  /// options.overlap_batches the data still moves stage by stage, and the
+  /// clock is then settled to core::overlapped_batch_time(), the Fig. 13
+  /// schedule the simulator prices; trace() keeps the sequential times.
   void execute(const cplx* in, cplx* out, dft::Direction dir);
 
   const StagePlan& stage_plan() const { return plan_; }
@@ -69,11 +68,10 @@ class Plan3D {
   double overlap_entry_sync();
   /// Rewrites every rank's clock to `base` + the pipelined batch time.
   void overlap_settle(double base);
-  void run_reshape(const Stage& stage, int tag_base);
   void run_reshape_collective(const Stage& stage);
   void run_reshape_datatype(const Stage& stage);
   void run_reshape_p2p(const Stage& stage, int tag_base);
-  void run_fft(const Stage& stage, dft::Direction dir);
+  void run_fft(std::size_t stage, dft::Direction dir);
 
   smpi::Comm& comm_;
   StagePlan plan_;
@@ -91,24 +89,27 @@ class Plan3D {
 /// Convenience: gathers every rank's box (collective).
 std::vector<Box3> allgather_boxes(smpi::Comm& comm, const Box3& mine);
 
-/// Virtual seconds one packed reshape charged on the calling rank.
-struct PackedReshapeTimes {
-  double pack = 0, comm = 0, unpack = 0;
-};
+/// Charges one kernel of `t` virtual seconds to the calling rank: advances
+/// its clock, appends the call to `trace` (when non-null) and, with
+/// tracing on, records the span that ends at the new clock. The one place
+/// src/core advances a clock for a kernel, so a Trace and its spans agree
+/// by construction.
+void charge(smpi::Comm& comm, Trace* trace, obs::Category cat,
+            const char* name, double t, std::vector<obs::SpanArg> args = {});
 
 /// Algorithm 1's packed reshape on this rank: packs each region this rank
 /// sends under `rp` (ascending peer, batch-major within a region) out of
 /// `batch` local bricks `in` into `sendbuf`, exchanges with
 /// Comm::alltoallv over device memory under `alg`, and unpacks into the
-/// `batch` bricks `out` (not cleared first). Both kernels are charged to
-/// the clock with pack_kernel_time; with tracing on, the pack and unpack
-/// spans and `reshape/fanout` are recorded. Collective. Instantiated for
-/// cplx and double.
+/// `batch` bricks `out` (not cleared first). Both kernels are charged
+/// with pack_kernel_time; the pack, the exchange and the unpack are
+/// appended to `trace` when it is non-null. With tracing on,
+/// `reshape/fanout` is recorded. Collective. Instantiated for cplx and
+/// double.
 template <typename T>
-PackedReshapeTimes packed_reshape(smpi::Comm& comm, const ReshapePlan& rp,
-                                  int batch, const T* in, T* out,
-                                  net::CollectiveAlg alg,
-                                  std::vector<T>& sendbuf,
-                                  std::vector<T>& recvbuf);
+void packed_reshape(smpi::Comm& comm, const ReshapePlan& rp, int batch,
+                    const T* in, T* out, net::CollectiveAlg alg,
+                    std::vector<T>& sendbuf, std::vector<T>& recvbuf,
+                    Trace* trace);
 
 }  // namespace parfft::core

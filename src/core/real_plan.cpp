@@ -17,13 +17,6 @@ int compute_ranks_of(const PlanOptions& opt, int nranks) {
                                                        : nranks;
 }
 
-/// Records a leaf span ending at the communicator's current virtual time.
-void leaf_span(smpi::Comm& comm, obs::Category cat, const char* name,
-               double t) {
-  if (obs::RunTrace* run = comm.trace_run(); run != nullptr && t > 0)
-    run->tracer.complete(comm.world_rank(), cat, name, comm.vtime() - t, t);
-}
-
 }  // namespace
 
 RealPlan3D::RealPlan3D(smpi::Comm& comm, const std::array<int, 3>& n,
@@ -84,13 +77,7 @@ void RealPlan3D::exchange_real(const ReshapePlan& rp, const double* in,
                                      ? net::CollectiveAlg::Alltoall
                                      : net::CollectiveAlg::Alltoallv;
   std::vector<double> sendbuf, recvbuf;
-  const PackedReshapeTimes t =
-      packed_reshape(comm_, rp, 1, in, out, alg, sendbuf, recvbuf);
-  trace_.add_pack(t.pack);
-  trace_.add_comm(alg == net::CollectiveAlg::Alltoall ? "MPI_Alltoall"
-                                                      : "MPI_Alltoallv",
-                  t.comm);
-  trace_.add_unpack(t.unpack);
+  packed_reshape(comm_, rp, 1, in, out, alg, sendbuf, recvbuf, &trace_);
 }
 
 void RealPlan3D::forward(const double* in, cplx* out) {
@@ -107,9 +94,7 @@ void RealPlan3D::forward(const double* in, cplx* out) {
                        ? 0.6 * gpu::fft_cost(dev_, n_[2],
                                              static_cast<int>(lines), false)
                        : 0.0;
-  comm_.advance(t);
-  trace_.add_fft(t, false);
-  leaf_span(comm_, obs::Category::Fft, "r2c", t);
+  charge(comm_, &trace_, obs::Category::Fft, "r2c", t);
 
   complex_fwd_.execute(cwork_.data(), out, dft::Direction::Forward);
 }
@@ -125,9 +110,7 @@ void RealPlan3D::backward(const cplx* in, double* out) {
                        ? 0.6 * gpu::fft_cost(dev_, n_[2],
                                              static_cast<int>(lines), false)
                        : 0.0;
-  comm_.advance(t);
-  trace_.add_fft(t, false);
-  leaf_span(comm_, obs::Category::Fft, "c2r", t);
+  charge(comm_, &trace_, obs::Category::Fft, "c2r", t);
 
   exchange_real(real_bwd_, rwork_.data(), out);
 
@@ -136,11 +119,9 @@ void RealPlan3D::backward(const cplx* in, double* out) {
         1.0 / (static_cast<double>(n_[0]) * n_[1] * n_[2]);
     const idx_t cnt = in_real_.count();
     for (idx_t i = 0; i < cnt; ++i) out[i] *= inv;
-    const double ts = gpu::pointwise_cost(
-        dev_, static_cast<double>(cnt) * sizeof(double));
-    comm_.advance(ts);
-    trace_.add_scale(ts);
-    leaf_span(comm_, obs::Category::Scale, "scale", ts);
+    charge(comm_, &trace_, obs::Category::Scale, "scale",
+           gpu::pointwise_cost(dev_,
+                               static_cast<double>(cnt) * sizeof(double)));
   }
 }
 

@@ -1,7 +1,6 @@
 #include "core/simulate.hpp"
 
 #include <algorithm>
-#include <memory>
 #include <string>
 #include <utility>
 
@@ -34,37 +33,48 @@ std::vector<int> identity_group(int nranks) {
   return group;
 }
 
-/// The one reshape pricing formula, shared by the memo and the traced
-/// sequential pass. `stats`, when non-null, receives the exchange's
-/// per-link utilization.
-ReshapeCost price_reshape(const StagePlan& plan, const ReshapePlan& rp, int b,
-                          const gpu::DeviceSpec& device,
-                          const net::CommCost& cost, net::TransferMode mode,
-                          net::MpiFlavor flavor,
-                          const std::vector<int>& group,
-                          net::LinkStats* stats) {
-  ReshapeCost rc;
-  const auto R = static_cast<std::size_t>(plan.nranks);
-  rc.pack.assign(R, 0.0);
-  rc.unpack.assign(R, 0.0);
-  for (std::size_t r = 0; r < R; ++r) {
-    const int rank = static_cast<int>(r);
-    rc.pack[r] = pack_kernel_time(device, rp.from()[r], rp.sends(rank), b);
-    rc.unpack[r] = pack_kernel_time(device, rp.to()[r], rp.recvs(rank), b);
-    rc.max_pack = std::max(rc.max_pack, rc.pack[r]);
-    rc.max_unpack = std::max(rc.max_unpack, rc.unpack[r]);
+/// Prices stage `stage` for chunk batch `b` on every rank: the one
+/// record the memo keeps and the traced sequential pass builds. `stats`,
+/// when non-null, receives the exchange's per-link utilization.
+StageCost price_stage(const StagePlan& plan, std::size_t stage, int b,
+                      const gpu::DeviceSpec& device, const net::CommCost& cost,
+                      net::TransferMode mode, net::MpiFlavor flavor,
+                      const std::vector<int>& group, net::LinkStats* stats) {
+  StageCost sc;
+  for (int r = 0; r < plan.nranks; ++r) {
+    const StageKernels ks = stage_kernels(plan, stage, r, b, device);
+    if (ks.size == 0) continue;  // an empty FFT box: its kernels stay 0
+    if (sc.slots.empty()) {
+      sc.slots.assign(ks.begin(), ks.end());
+      for (Kernel& slot : sc.slots) slot.seconds = 0;
+      sc.kernels.resize(sc.slots.size() *
+                        static_cast<std::size_t>(plan.nranks));
+    }
+    PARFFT_ASSERT(static_cast<std::size_t>(ks.size) == sc.slots.size());
+    for (std::size_t k = 0; k < sc.slots.size(); ++k) {
+      sc.kernels[static_cast<std::size_t>(r) * sc.slots.size() + k] =
+          ks.list[k];
+      sc.slots[k].seconds = std::max(sc.slots[k].seconds, ks.list[k].seconds);
+    }
   }
-  rc.phase = cost.exchange(group, rp.send_matrix(b),
-                           to_alg(plan.options.backend), mode, flavor, stats);
-  return rc;
+  for (std::size_t k = 0; k < sc.slots.size(); ++k) {
+    Kernel& slot = sc.slots[k];
+    if (slot.kind != KernelKind::Exchange) continue;
+    sc.phase = cost.exchange(
+        group, plan.stages[stage].reshape.send_matrix(b / slot.calls),
+        to_alg(plan.options.backend), mode, flavor, stats);
+    slot.seconds = sc.phase.total;
+  }
+  return sc;
 }
 
 /// Sequential execution passes over the stages of `plan` for chunks of
-/// `batch` elements, advancing one clock per rank from zero. Untraced
-/// passes read reshape costs from `memo`; a traced pass prices each
-/// reshape once itself, because it also needs the exchange's link
-/// statistics and calibration. Without `warmed`, each rank's first
-/// transform pays the FFT plan-setup spikes of its own plan cache.
+/// `batch` elements, advancing one clock per rank from zero by each
+/// rank's kernels of the stage's record. Untraced passes read records
+/// from `memo`; a traced pass prices each stage once itself, because it
+/// also needs the exchange's link statistics and calibration. Without
+/// `warmed`, each rank's first transform pays the FFT plan-setup spikes
+/// of its own plan cache.
 class StageRunner {
  public:
   StageRunner(const SimConfig& cfg, const StagePlan& plan,
@@ -82,14 +92,7 @@ class StageRunner {
       for (int r = 0; r < plan_.nranks; ++r)
         run_->tracer.begin(r, obs::Category::Transform, "fft3d",
                            clocks_[static_cast<std::size_t>(r)]);
-    for (std::size_t i = 0; i < plan_.stages.size(); ++i) {
-      const Stage& s = plan_.stages[i];
-      if (s.kind == Stage::Kind::Reshape) {
-        run_reshape(s, i);
-      } else {
-        run_fft(s);
-      }
-    }
+    for (std::size_t i = 0; i < plan_.stages.size(); ++i) run_stage(i);
     if (run_ != nullptr)
       for (int r = 0; r < plan_.nranks; ++r)
         run_->tracer.end(r, clocks_[static_cast<std::size_t>(r)]);
@@ -99,139 +102,169 @@ class StageRunner {
  private:
   net::TransferMode mode() const { return transfer_mode(cfg_); }
 
-  /// A traced reshape's cost plus what obs needs about its exchange.
+  /// A traced stage's record plus what obs needs about its exchange.
   /// Identical across repeats; computed once per stage.
-  struct TracedReshape {
-    ReshapeCost cost;
+  struct TracedStage {
+    StageCost cost;
     net::LinkStats stats;
-    // Calibration for obs::ExchangeRecord: the busiest sender's remote
-    // traffic, and the uncontended bandwidth / fixed per-message cost a
-    // representative message of this exchange measures against the idle
-    // fabric (the B and L of model eqs. (2)-(5)).
-    double bytes_total = 0;
-    double max_rank_bytes = 0;
-    int max_rank_msgs = 0;
-    double model_bw = 0;
-    double per_msg_cost = 0;
+    int elems = 0;  // batch elements one exchange call moves
+    obs::ExchangeRecord exchange;  // all but `begin`, set per call
   };
 
-  const TracedReshape& traced_reshape(const Stage& s, std::size_t stage) {
-    if (traced_.size() <= stage) traced_.resize(stage + 1);
-    auto& slot = traced_[stage];
-    if (slot) return *slot;
-    slot = std::make_unique<TracedReshape>();
-    TracedReshape& tr = *slot;
-    tr.cost = price_reshape(plan_, s.reshape, batch_, cfg_.device, cost_,
-                            mode(), cfg_.flavor,
-                            identity_group(plan_.nranks), &tr.stats);
-    calibrate_exchange(s.reshape, tr);
+  const TracedStage& traced_stage(std::size_t stage) {
+    auto [it, fresh] = traced_.try_emplace(stage);
+    TracedStage& tr = it->second;
+    if (!fresh) return tr;
+    tr.cost = price_stage(plan_, stage, batch_, cfg_.device, cost_, mode(),
+                          cfg_.flavor, identity_group(plan_.nranks),
+                          &tr.stats);
+    for (const Kernel& k : tr.cost.slots)
+      if (k.kind == KernelKind::Exchange) {
+        tr.elems = batch_ / k.calls;
+        calibrate_exchange(plan_.stages[stage].reshape, tr);
+      }
     return tr;
   }
 
-  /// Measures the busiest sender's traffic and the uncontended (B, L)
-  /// pair for this exchange. Read-only over the fabric: single_flow_time
-  /// and point_to_point are const, so tracing never perturbs the run.
-  void calibrate_exchange(const ReshapePlan& rp, TracedReshape& rc) {
+  /// Fills the exchange-phase record for obs/analysis.hpp (residuals +
+  /// heatmaps): the busiest sender's remote traffic, the uncontended
+  /// bandwidth / fixed per-message cost a representative message of this
+  /// exchange measures against the idle fabric (the B and L of model
+  /// eqs. (2)-(5)), and netsim's LinkStats, converted here so obs stays
+  /// netsim-free. Read-only over the fabric: single_flow_time and
+  /// point_to_point are const, so tracing never perturbs the run.
+  void calibrate_exchange(const ReshapePlan& rp, TracedStage& tr) {
+    obs::ExchangeRecord& rec = tr.exchange;
+    rec.name = backend_name(plan_.options.backend);
+    rec.duration = tr.cost.phase.total;
+    rec.nranks = plan_.nranks;
+    for (const net::LinkStats::Link& l : tr.stats.links) {
+      if (l.capacity <= 0 || l.bytes <= 0) continue;
+      rec.links.push_back({l.name, net::link_class_name(l.name), l.capacity,
+                           l.bytes, l.samples});
+    }
     int busiest = -1, busiest_peer = -1;
     for (int r = 0; r < plan_.nranks; ++r) {
       double sent = 0;
       int msgs = 0, peer = -1;
-      for (const Transfer& tr : rp.sends(r)) {
-        if (tr.peer == r) continue;  // local copy, not a message
+      for (const Transfer& t : rp.sends(r)) {
+        if (t.peer == r) continue;  // local copy, not a message
         sent +=
-            static_cast<double>(tr.region.count() * batch_) * sizeof(cplx);
+            static_cast<double>(t.region.count() * tr.elems) * sizeof(cplx);
         ++msgs;
-        if (peer < 0) peer = tr.peer;
+        if (peer < 0) peer = t.peer;
       }
-      rc.bytes_total += sent;
-      if (msgs > 0 && sent > rc.max_rank_bytes) {
-        rc.max_rank_bytes = sent;
-        rc.max_rank_msgs = msgs;
+      rec.bytes_total += sent;
+      if (msgs > 0 && sent > rec.max_rank_bytes) {
+        rec.max_rank_bytes = sent;
+        rec.max_rank_msgs = msgs;
         busiest = r;
         busiest_peer = peer;
       }
     }
     if (busiest < 0) return;  // nothing leaves any rank
-    const double rep_bytes = rc.max_rank_bytes / rc.max_rank_msgs;
+    const double rep_bytes = rec.max_rank_bytes / rec.max_rank_msgs;
     const double transport = cost_.flowsim().single_flow_time(
         busiest, busiest_peer, rep_bytes, mode());
-    if (transport > 0) rc.model_bw = rep_bytes / transport;
-    rc.per_msg_cost = std::max(
+    if (transport > 0) rec.model_bandwidth = rep_bytes / transport;
+    rec.per_message_cost = std::max(
         cost_.point_to_point(busiest, busiest_peer, rep_bytes, mode()) -
             transport,
         0.0);
   }
 
-  void run_reshape(const Stage& s, std::size_t stage) {
+  void run_stage(std::size_t stage) {
     const int R = plan_.nranks;
-    const TracedReshape* traced =
-        run_ != nullptr ? &traced_reshape(s, stage) : nullptr;
-    const ReshapeCost& rc =
+    const TracedStage* traced =
+        run_ != nullptr ? &traced_stage(stage) : nullptr;
+    const StageCost& sc =
         traced != nullptr
             ? traced->cost
-            : memo_.reshape(plan_, stage, batch_, cfg_.device, cost_, mode(),
-                            cfg_.flavor);
-    // The datatype backend packs inside MPI: no GPU pack or unpack here
-    // (the overlapped pipeline charges them; see ReshapeCost).
-    const bool gpu_pack = !backend_is_datatype(plan_.options.backend);
-    if (run_ != nullptr)
+            : memo_.stage(plan_, stage, batch_, cfg_.device, cost_, mode(),
+                          cfg_.flavor);
+    const bool reshape = plan_.stages[stage].kind == Stage::Kind::Reshape;
+    if (run_ != nullptr && reshape)
       for (int r = 0; r < R; ++r)
         run_->tracer.begin(r, obs::Category::Reshape, "reshape",
                            clocks_[static_cast<std::size_t>(r)]);
-    for (int r = 0; r < R; ++r) {
-      const double p = gpu_pack ? rc.pack[static_cast<std::size_t>(r)] : 0.0;
-      if (run_ != nullptr && p > 0)
-        run_->tracer.complete(r, obs::Category::Pack, "pack",
-                              clocks_[static_cast<std::size_t>(r)], p);
-      clocks_[static_cast<std::size_t>(r)] += p;
-    }
-    report_.kernels.pack += gpu_pack ? rc.max_pack : 0.0;
-
-    // Exchange: globally synchronizing collective, per-rank completion
-    // from the congestion-aware model (identical call to threaded mode).
-    const double base = *std::max_element(clocks_.begin(), clocks_.end());
-    if (traced != nullptr) record_reshape_obs(s, *traced, base);
-    for (int r = 0; r < R; ++r) {
-      if (run_ != nullptr) {
-        const double c = clocks_[static_cast<std::size_t>(r)];
-        if (base > c)
-          run_->tracer.complete(r, obs::Category::Wait, "exchange sync", c,
-                                base - c);
-        run_->tracer.complete(
-            r, obs::Category::Exchange, backend_name(plan_.options.backend),
-            base, rc.phase.per_rank[static_cast<std::size_t>(r)]);
+    // Each rank owns its FFT plans (as each GPU owns cuFFT handles); the
+    // first call with a new layout pays the plan-setup spike unless the
+    // config declares the plans pre-warmed.
+    const bool cold = !warmed_ && first_transform_;
+    for (std::size_t k = 0; k < sc.slots.size(); ++k) {
+      const Kernel& slot = sc.slots[k];
+      if (slot.kind == KernelKind::Exchange) {
+        run_exchange(stage, sc, k, traced);
+        continue;
       }
-      clocks_[static_cast<std::size_t>(r)] =
-          base + rc.phase.per_rank[static_cast<std::size_t>(r)];
+      double mx = 0;
+      for (int r = 0; r < R; ++r) {
+        const Kernel& kr = sc.at(k, r);
+        double& clock = clocks_[static_cast<std::size_t>(r)];
+        const double t =
+            cold && slot.kind == KernelKind::Fft && kr.lines > 0
+                ? caches_[static_cast<std::size_t>(r)].fft_call(
+                      cfg_.device, kr.len, kr.lines, kr.strided)
+                : kr.seconds;
+        if (run_ != nullptr && t > 0) {
+          std::vector<obs::SpanArg> args;
+          if (run_->with_args() && slot.kind == KernelKind::Fft)
+            args = {{"axis", static_cast<double>(kr.axis)},
+                    {"len", static_cast<double>(kr.len)}};
+          run_->tracer.complete(r, kernel_category(slot.kind),
+                                kernel_name(slot), clock, t, std::move(args));
+        }
+        clock += t;
+        mx = std::max(mx, t);
+      }
+      report_.kernels.add(kernel_category(slot.kind), mx);
+      if (slot.kind == KernelKind::Fft)
+        report_.fft_calls.push_back({kernel_name(slot), mx});
     }
-    report_.kernels.comm += rc.phase.total;
-    report_.comm_calls.push_back(
-        {backend_name(plan_.options.backend), rc.phase.total});
-
-    for (int r = 0; r < R; ++r) {
-      const double u =
-          gpu_pack ? rc.unpack[static_cast<std::size_t>(r)] : 0.0;
-      if (run_ != nullptr && u > 0)
-        run_->tracer.complete(r, obs::Category::Unpack, "unpack",
-                              clocks_[static_cast<std::size_t>(r)], u);
-      clocks_[static_cast<std::size_t>(r)] += u;
-      if (run_ != nullptr)
+    if (run_ != nullptr && reshape)
+      for (int r = 0; r < R; ++r)
         run_->tracer.end(r, clocks_[static_cast<std::size_t>(r)]);
-    }
-    report_.kernels.unpack += gpu_pack ? rc.max_unpack : 0.0;
   }
 
-  /// Per-execution metrics: bytes sent, message sizes, fan-out, and the
+  /// Each call of the exchange is a globally synchronizing collective,
+  /// with per-rank completion from the congestion-aware model (identical
+  /// call to threaded mode).
+  void run_exchange(std::size_t stage, const StageCost& sc, std::size_t k,
+                    const TracedStage* traced) {
+    const Kernel& slot = sc.slots[k];
+    const std::string name = backend_name(plan_.options.backend);
+    double comm = 0;
+    for (int call = 0; call < slot.calls; ++call) {
+      const double base = *std::max_element(clocks_.begin(), clocks_.end());
+      if (traced != nullptr) record_reshape_obs(stage, *traced, base);
+      for (int r = 0; r < plan_.nranks; ++r) {
+        const double t = sc.phase.per_rank[static_cast<std::size_t>(r)];
+        double& clock = clocks_[static_cast<std::size_t>(r)];
+        if (run_ != nullptr) {
+          if (base > clock)
+            run_->tracer.complete(r, obs::Category::Wait, "exchange sync",
+                                  clock, base - clock);
+          run_->tracer.complete(r, obs::Category::Exchange, name, base, t);
+        }
+        clock = base + t;
+      }
+      comm += slot.seconds;
+    }
+    report_.kernels.comm += comm;
+    report_.comm_calls.push_back({name, comm});
+  }
+
+  /// Per-call metrics: bytes sent, message sizes, fan-out, and the
   /// link-utilization record of this reshape's exchange (gauges keep the
   /// peak over executions; counter tracks get the time-shifted samples).
-  void record_reshape_obs(const Stage& s, const TracedReshape& rc,
+  void record_reshape_obs(std::size_t stage, const TracedStage& rc,
                           double base) {
-    const ReshapePlan& rp = s.reshape;
+    const ReshapePlan& rp = plan_.stages[stage].reshape;
     for (int r = 0; r < plan_.nranks; ++r) {
       double sent = 0;
       for (const Transfer& tr : rp.sends(r)) {
         const double b =
-            static_cast<double>(tr.region.count() * batch_) * sizeof(cplx);
+            static_cast<double>(tr.region.count() * rc.elems) * sizeof(cplx);
         sent += b;
         run_->metrics.observe("reshape/message_bytes", b);
       }
@@ -253,83 +286,9 @@ class StageRunner {
                              rate / 1e9);
     }
 
-    // Exchange-phase record for obs/analysis.hpp (residuals + heatmaps):
-    // netsim's LinkStats is converted here so obs stays netsim-free.
-    obs::ExchangeRecord rec;
-    rec.name = backend_name(plan_.options.backend);
+    obs::ExchangeRecord rec = rc.exchange;
     rec.begin = base;
-    rec.duration = rc.cost.phase.total;
-    rec.nranks = plan_.nranks;
-    rec.bytes_total = rc.bytes_total;
-    rec.max_rank_bytes = rc.max_rank_bytes;
-    rec.max_rank_msgs = rc.max_rank_msgs;
-    rec.model_bandwidth = rc.model_bw;
-    rec.per_message_cost = rc.per_msg_cost;
-    rec.links.reserve(rc.stats.links.size());
-    for (const net::LinkStats::Link& l : rc.stats.links) {
-      if (l.capacity <= 0 || l.bytes <= 0) continue;
-      obs::LinkUsage u;
-      u.name = l.name;
-      u.cls = net::link_class_name(l.name);
-      u.capacity = l.capacity;
-      u.bytes = l.bytes;
-      u.samples = l.samples;
-      rec.links.push_back(std::move(u));
-    }
     run_->add_exchange(std::move(rec));
-  }
-
-  void run_fft(const Stage& s) {
-    for (int axis : s.axes) {
-      double max_fft = 0, max_pack = 0;
-      bool any_strided = false;
-      for (int r = 0; r < plan_.nranks; ++r) {
-        const Box3& box = s.boxes[static_cast<std::size_t>(r)];
-        if (box.empty()) continue;
-        const int len = static_cast<int>(box.size(axis));
-        const int lines = static_cast<int>(box.count() / len) * batch_;
-        const bool contiguous =
-            axis == 2 || plan_.options.contiguous_fft;
-        // Each rank owns its FFT plans (as each GPU owns cuFFT handles);
-        // the first call with a new layout pays the plan-setup spike
-        // unless the config declares the plans pre-warmed.
-        const double t =
-            (warmed_ || !first_transform_)
-                ? gpu::fft_cost(cfg_.device, len, lines, !contiguous)
-                : caches_[static_cast<std::size_t>(r)].fft_call(
-                      cfg_.device, len, lines, !contiguous);
-        if (axis != 2 && plan_.options.contiguous_fft) {
-          // Reorder path: two local transposes around the contiguous FFT.
-          const double bytes =
-              static_cast<double>(box.count()) * batch_ * sizeof(cplx);
-          const double p =
-              2.0 * gpu::pack_cost(cfg_.device, bytes, sizeof(cplx));
-          if (run_ != nullptr && p > 0)
-            run_->tracer.complete(r, obs::Category::Pack, "transpose",
-                                  clocks_[static_cast<std::size_t>(r)], p);
-          clocks_[static_cast<std::size_t>(r)] += p;
-          max_pack = std::max(max_pack, p);
-        }
-        any_strided = any_strided || !contiguous;
-        if (run_ != nullptr && t > 0)
-          run_->tracer.complete(
-              r, obs::Category::Fft,
-              contiguous ? "fft(contiguous)" : "fft(strided)",
-              clocks_[static_cast<std::size_t>(r)], t,
-              run_->with_args()
-                  ? std::vector<obs::SpanArg>{{"axis",
-                                               static_cast<double>(axis)},
-                                              {"len",
-                                               static_cast<double>(len)}}
-                  : std::vector<obs::SpanArg>{});
-        clocks_[static_cast<std::size_t>(r)] += t;
-        max_fft = std::max(max_fft, t);
-      }
-      report_.kernels.fft += max_fft;
-      report_.kernels.pack += max_pack;
-      report_.fft_calls.push_back(
-          {any_strided ? "fft(strided)" : "fft(contiguous)", max_fft});
-    }
   }
 
   const SimConfig& cfg_;
@@ -342,7 +301,7 @@ class StageRunner {
   obs::RunTrace* run_;  ///< nullptr when tracing is off
   std::vector<gpu::PlanCache> caches_;  ///< per rank; empty when warmed
   std::vector<double> clocks_;          ///< per rank
-  std::vector<std::unique_ptr<TracedReshape>> traced_;  ///< per stage
+  std::map<std::size_t, TracedStage> traced_;  ///< by stage index
   bool first_transform_ = true;
 };
 
@@ -360,6 +319,77 @@ double pack_kernel_time(const gpu::DeviceSpec& device, const Box3& box,
   return t;
 }
 
+obs::Category kernel_category(KernelKind kind) {
+  if (kind == KernelKind::Fft) return obs::Category::Fft;
+  return kind == KernelKind::Unpack ? obs::Category::Unpack
+                                    : obs::Category::Pack;
+}
+
+const char* kernel_name(const Kernel& k) {
+  static constexpr const char* kNames[] = {"fft(contiguous)", "transpose",
+                                           "pack", "exchange", "unpack"};
+  return k.kind == KernelKind::Fft && k.strided
+             ? "fft(strided)"
+             : kNames[static_cast<int>(k.kind)];
+}
+
+// The rules of what a stage charges, kept here and nowhere else:
+//  * Datatype packing. Alltoallw's sub-array datatypes pack inside the MPI
+//    library (Algorithm 2), so its reshapes run no GPU pack or unpack
+//    kernel; the exchange's cost model prices the datatype engine. This
+//    is the paper's reading, and what the threaded plan executes.
+//  * Reorder transposes. A contiguous_fft plan transposes every axis but
+//    axis 2 into contiguous lines and back (heFFTe's reorder path). The
+//    two transposes are one Reorder kernel of twice a transpose's cost,
+//    ahead of the contiguous FFT: the stage lasts the same either way,
+//    and the sequential figures that price contiguous_fft (fig06, fig07)
+//    keep their published values.
+//  * Batched Alltoallw. A sub-array datatype describes one brick, so a
+//    chunk of b elements is b MPI_Alltoallw calls of one element each,
+//    as the threaded plan issues them, not one call of b elements.
+StageKernels stage_kernels(const StagePlan& plan, std::size_t stage, int rank,
+                           int b, const gpu::DeviceSpec& device) {
+  const Stage& s = plan.stages[stage];
+  const auto me = static_cast<std::size_t>(rank);
+  StageKernels out;
+  const auto add = [&out](const Kernel& k) {
+    out.list[static_cast<std::size_t>(out.size++)] = k;
+  };
+  if (s.kind == Stage::Kind::Reshape) {
+    const ReshapePlan& rp = s.reshape;
+    if (backend_is_datatype(plan.options.backend)) {
+      add({.kind = KernelKind::Exchange, .stream = Stream::Network,
+           .calls = b});
+      return out;
+    }
+    add({.kind = KernelKind::Pack,
+         .seconds = pack_kernel_time(device, rp.from()[me], rp.sends(rank),
+                                     b)});
+    add({.kind = KernelKind::Exchange, .stream = Stream::Network});
+    add({.kind = KernelKind::Unpack,
+         .seconds =
+             pack_kernel_time(device, rp.to()[me], rp.recvs(rank), b)});
+    return out;
+  }
+  const Box3& box = s.boxes[me];
+  if (box.empty()) return out;
+  for (int axis : s.axes) {
+    const int len = static_cast<int>(box.size(axis));
+    const int lines = static_cast<int>(box.count() / len) * b;
+    const bool reorder = axis != 2 && plan.options.contiguous_fft;
+    const bool strided = axis != 2 && !plan.options.contiguous_fft;
+    if (reorder) {
+      const double bytes = static_cast<double>(box.count()) * b * sizeof(cplx);
+      add({.kind = KernelKind::Reorder, .axis = axis,
+           .seconds = 2.0 * gpu::pack_cost(device, bytes, sizeof(cplx))});
+    }
+    add({.kind = KernelKind::Fft, .strided = strided, .axis = axis,
+         .len = len, .lines = lines,
+         .seconds = gpu::fft_cost(device, len, lines, strided)});
+  }
+  return out;
+}
+
 int BatchProfile::delivered(double work) const {
   int done = 0;
   for (std::size_t i = 0; i < frac.size(); ++i) {
@@ -368,29 +398,31 @@ int BatchProfile::delivered(double work) const {
   return done;
 }
 
-const ReshapeCost& StageCostMemo::reshape(
-    const StagePlan& plan, std::size_t stage, int b,
-    const gpu::DeviceSpec& device, const net::CommCost& cost,
-    net::TransferMode mode, net::MpiFlavor flavor,
-    const std::vector<int>& group) {
-  PARFFT_ASSERT(stage < plan.stages.size() &&
-                plan.stages[stage].kind == Stage::Kind::Reshape);
-  ++counters_.stage_lookups;
+const StageCost& StageCostMemo::stage(const StagePlan& plan,
+                                      std::size_t stage, int b,
+                                      const gpu::DeviceSpec& device,
+                                      const net::CommCost& cost,
+                                      net::TransferMode mode,
+                                      net::MpiFlavor flavor,
+                                      const std::vector<int>& group) {
+  PARFFT_ASSERT(stage < plan.stages.size());
+  const bool reshape = plan.stages[stage].kind == Stage::Kind::Reshape;
+  counters_.stage_lookups += reshape ? 1 : 0;
   const std::tuple<double, std::size_t, int> key{cost.flowsim().nic_scale(),
                                                  stage, b};
   auto it = entries_.find(key);
   if (it != entries_.end()) {
-    ++counters_.stage_hits;
+    counters_.stage_hits += reshape ? 1 : 0;
   } else {
-    ++counters_.stage_misses;
-    ++counters_.exchange_solves;
+    counters_.stage_misses += reshape ? 1 : 0;
+    counters_.exchange_solves += reshape ? 1 : 0;
     it = entries_
-             .emplace(key, price_reshape(
-                               plan, plan.stages[stage].reshape, b, device,
-                               cost, mode, flavor,
-                               group.empty() ? identity_group(plan.nranks)
-                                             : group,
-                               nullptr))
+             .emplace(key, price_stage(plan, stage, b, device, cost, mode,
+                                       flavor,
+                                       group.empty()
+                                           ? identity_group(plan.nranks)
+                                           : group,
+                                       nullptr))
              .first;
   }
   PARFFT_IF_PARANOID(check_invariants());
@@ -401,9 +433,13 @@ void StageCostMemo::check_invariants() const {
   PARFFT_CHECK(counters_.stage_hits + counters_.stage_misses ==
                    counters_.stage_lookups,
                "stage-cost memo: hits + misses != lookups");
+  std::uint64_t reshapes = 0;
+  for (const auto& [key, sc] : entries_)
+    reshapes += sc.phase.per_rank.empty() ? 0 : 1;
   PARFFT_CHECK(counters_.exchange_solves == counters_.stage_misses &&
-                   counters_.stage_misses == entries_.size(),
-               "stage-cost memo: exchange solves, misses and entries differ");
+                   counters_.stage_misses == reshapes,
+               "stage-cost memo: exchange solves, misses and reshape "
+               "records differ");
 }
 
 double overlapped_batch_time(const StagePlan& plan,
@@ -419,42 +455,6 @@ double overlapped_batch_time(const StagePlan& plan,
                "group size must match the plan's rank count");
   StageCostMemo local;
   StageCostMemo& costs = memo != nullptr ? *memo : local;
-
-  // Per-stage costs for a chunk of b batch elements (max over ranks).
-  // Reshape stages split into pack (GPU compute stream), exchange (network
-  // stream) and unpack (compute stream) -- heFFTe's batched pipeline packs
-  // one chunk while another chunk's exchange is in flight.
-  struct StageCost {
-    double pre = 0;   // pack, compute stream
-    double comm = 0;  // exchange, network stream
-    double post = 0;  // unpack, compute stream
-  };
-  auto stage_cost = [&](std::size_t i, int b) {
-    const Stage& s = plan.stages[i];
-    StageCost c;
-    if (s.kind == Stage::Kind::Reshape) {
-      const ReshapeCost& rc =
-          costs.reshape(plan, i, b, device, cost, mode, flavor, group);
-      c.pre = rc.max_pack;
-      c.comm = rc.phase.total;
-      c.post = rc.max_unpack;
-    } else {
-      for (int axis : s.axes) {
-        double mx = 0;
-        for (int r = 0; r < plan.nranks; ++r) {
-          const Box3& box = s.boxes[static_cast<std::size_t>(r)];
-          if (box.empty()) continue;
-          const int len = static_cast<int>(box.size(axis));
-          const int lines = static_cast<int>(box.count() / len) * b;
-          const bool contiguous = axis == 2 || plan.options.contiguous_fft;
-          mx = std::max(mx,
-                        gpu::fft_cost(device, len, lines, !contiguous));
-        }
-        c.pre += mx;
-      }
-    }
-    return c;
-  };
 
   // heFFTe tunes the sub-batch granularity: few large chunks amortize
   // per-message latency, many small chunks overlap better. Evaluate the
@@ -474,13 +474,20 @@ double overlapped_batch_time(const StagePlan& plan,
       ++out.chunk_batch[static_cast<std::size_t>(c)];
     gpu::StreamTimeline compute, comm;
     for (int c = 0; c < chunks; ++c) {
-      double ready = 0;  // completion of this chunk's previous stage
+      double ready = 0;  // completion of this chunk's previous kernel
       for (std::size_t i = 0; i < plan.stages.size(); ++i) {
-        const StageCost sc =
-            stage_cost(i, out.chunk_batch[static_cast<std::size_t>(c)]);
-        if (sc.pre > 0) ready = compute.submit(ready, sc.pre);
-        if (sc.comm > 0) ready = comm.submit(ready, sc.comm);
-        if (sc.post > 0) ready = compute.submit(ready, sc.post);
+        // heFFTe's batched pipeline packs one chunk while another chunk's
+        // exchange is in flight: each kernel (each exchange call) is one
+        // operation on its stream, lasting its maximum over ranks.
+        const StageCost& sc =
+            costs.stage(plan, i, out.chunk_batch[static_cast<std::size_t>(c)],
+                        device, cost, mode, flavor, group);
+        for (const Kernel& k : sc.slots) {
+          gpu::StreamTimeline& stream =
+              k.stream == Stream::Compute ? compute : comm;
+          for (int call = 0; call < k.calls; ++call)
+            if (k.seconds > 0) ready = stream.submit(ready, k.seconds);
+        }
       }
       out.chunk_done.push_back(ready);
       out.total = std::max(out.total, ready);

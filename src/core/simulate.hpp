@@ -4,13 +4,14 @@
 ///
 /// The threaded runtime really moves data and is capped at a few hundred
 /// ranks; the paper's experiments go to 3072 GPUs. This simulator executes
-/// the *same* stage plans (identical reshape send lists, identical cost
-/// functions) without data or threads: per-rank virtual clocks advance
-/// through pack / FFT / exchange stages, so the strong-scaling and
-/// per-call-trace experiments are cheap and deterministic. A consistency
-/// test asserts that simulate() and Plan3D::execute() agree on small
-/// configurations. simulate() is a traced run of a Simulator, so both
-/// entry points price a transform through one code path.
+/// the *same* stage plans (identical reshape send lists, the same
+/// stage_kernels()) without data or threads: per-rank virtual clocks
+/// advance through pack / FFT / exchange stages, so the strong-scaling and
+/// per-call-trace experiments are cheap and deterministic. Consistency
+/// tests assert that simulate() and Plan3D::execute() give every rank the
+/// same clock on small configurations. simulate() is a traced run of a
+/// Simulator, so both entry points price a transform through one code
+/// path.
 
 #include <array>
 #include <cstdint>
@@ -87,66 +88,100 @@ struct BatchProfile {
   int delivered(double work) const;
 };
 
+/// The Fig. 13 pipeline stream a kernel occupies.
+enum class Stream : std::uint8_t { Compute, Network };
+
+enum class KernelKind : std::uint8_t {
+  Fft,       ///< batched 1-D FFTs along one axis
+  Reorder,   ///< contiguous_fft's two local transposes around an Fft
+  Pack,      ///< GPU pack of a reshape's outgoing regions
+  Exchange,  ///< the reshape's MPI exchange
+  Unpack,    ///< GPU unpack of the received regions
+};
+
+/// One kernel a rank runs in a stage.
+struct Kernel {
+  KernelKind kind = KernelKind::Fft;
+  Stream stream = Stream::Compute;
+  bool strided = false;  ///< Fft: strided lines
+  int axis = 0;          ///< Fft, Reorder: the transformed axis
+  int len = 0;           ///< Fft: transform length (plan-cache key)
+  int lines = 0;         ///< Fft: transforms per call, batch included
+  int calls = 1;         ///< Exchange: MPI calls, each of b / calls elements
+  double seconds = 0;    ///< warm time; an Exchange's: see StageCost
+};
+
+/// Trace category and name of a GPU kernel: Fft "fft(strided)" or
+/// "fft(contiguous)", Reorder "transpose" (a Pack kernel), Pack "pack",
+/// Unpack "unpack". An Exchange is traced by the runtime or the pricer.
+obs::Category kernel_category(KernelKind kind);
+const char* kernel_name(const Kernel& k);
+
+/// At most three FFT axes, each with its reorder kernel.
+struct StageKernels {
+  std::array<Kernel, 6> list{};
+  int size = 0;
+  const Kernel* begin() const { return list.data(); }
+  const Kernel* end() const { return list.data() + size; }
+};
+
+/// The one place that decides what a stage charges: the kernels `rank`
+/// runs in `plan.stages[stage]` for a chunk of `b` batch elements, in
+/// execution order (none on an empty FFT box). Every pricer charges
+/// them; the rules are written down at the definition.
+StageKernels stage_kernels(const StagePlan& plan, std::size_t stage, int rank,
+                           int b, const gpu::DeviceSpec& device);
+
 /// Self-cost counters of a StageCostMemo: how often pricing asked for a
-/// reshape stage's cost and how many exchange solves the answers took.
-/// Every miss prices its entry with exactly one exchange solve, and the
-/// memo never drops an entry, so lookups == hits + misses and
-/// misses == exchange_solves == entries (checked under PARFFT_PARANOID).
+/// reshape stage's record and how many exchange solves the answers took.
+/// Every reshape miss prices its record with exactly one exchange solve,
+/// and the memo never drops a record, so lookups == hits + misses and
+/// misses == exchange_solves == reshape records (checked under
+/// PARFFT_PARANOID). FFT-stage records cost no solve and are not counted.
 struct PricingCounters {
-  std::uint64_t stage_lookups = 0;  ///< reshape-stage cost requests
+  std::uint64_t stage_lookups = 0;  ///< reshape-stage record requests
   std::uint64_t stage_hits = 0;     ///< answered from the memo
-  std::uint64_t stage_misses = 0;   ///< priced afresh, one entry each
+  std::uint64_t stage_misses = 0;   ///< priced afresh, one record each
   std::uint64_t exchange_solves = 0;  ///< net::CommCost::exchange calls
 };
 
-/// Cost of one reshape stage for a chunk of `b` batch elements: the GPU
-/// pack and unpack kernels per rank, their maxima over ranks, and the
-/// exchange phase between them.
-///
-/// Known approximation: the pack/unpack costs are computed for every
-/// backend, but the two pricers read them differently for the datatype
-/// backend (Alltoallw, whose MPI datatypes pack in the library). The
-/// sequential pass charges it no pack or unpack, while the overlapped
-/// pipeline (overlapped_batch_time) charges both on the compute stream.
-/// So a batched, overlapped Alltoallw transform pays GPU packing that
-/// its sequential counterpart does not. Making them agree would move
-/// published virtual-time results.
-///
-/// Known approximation: the overlapped pipeline charges no reorder
-/// transposes. For a contiguous_fft plan its FFT stages cost
-/// fft_cost(..., strided = false) alone, while the sequential pass and
-/// the threaded Plan3D::run_fft charge two pack_cost transposes around
-/// every axis but axis 2. No figure, sweep or pinned row prices a
-/// contiguous_fft plan in overlapped batches: fig06, fig07, fig10 and
-/// perf_baseline run batch 1, and every serve and fig13 shape keeps
-/// contiguous_fft = false.
-struct ReshapeCost {
-  std::vector<double> pack, unpack;  ///< per rank
-  double max_pack = 0, max_unpack = 0;
-  net::PhaseTimes phase;
+/// One stage for a chunk of `b` batch elements: every rank's
+/// stage_kernels() and the stage's exchange (each rank's time in
+/// phase.per_rank). A rank without kernels (an empty FFT box) holds
+/// zeros with lines 0.
+struct StageCost {
+  /// Kernel slots in execution order, each with its maximum over ranks
+  /// (an Exchange's: phase.total, the time of one of its calls).
+  std::vector<Kernel> slots;
+  std::vector<Kernel> kernels;  ///< rank-major: slots.size() per rank
+  net::PhaseTimes phase;        ///< one call of a reshape's exchange
+
+  const Kernel& at(std::size_t slot, int rank) const {
+    return kernels[static_cast<std::size_t>(rank) * slots.size() + slot];
+  }
 };
 
-/// Memo of reshape-stage costs keyed on (nic scale, stage index, chunk
-/// batch b). Entries are exact results, never rescaled: exchange time is
-/// not linear in b (the Staged per-message overhead and Bruck's
-/// small-block path see message sizes), and reusing the bit-exact solve
-/// keeps every virtual time identical to pricing afresh. The nic scale is
-/// read from the CommCost at lookup, so a degraded pricing adds entries
-/// instead of invalidating the healthy ones.
+/// Memo of stage records keyed on (nic scale, stage index, chunk batch
+/// b). Entries are exact results, never rescaled: exchange time is not
+/// linear in b (the Staged per-message overhead and Bruck's small-block
+/// path see message sizes), and reusing the bit-exact solve keeps every
+/// virtual time identical to pricing afresh. The nic scale is read from
+/// the CommCost at lookup, so a degraded pricing adds entries instead of
+/// invalidating the healthy ones.
 ///
 /// A memo is bound to one pricing context: share it only between calls
 /// that price the same plan over the same CommCost, group, device,
 /// transfer mode and MPI flavor.
 class StageCostMemo {
  public:
-  /// Cost of reshape stage `plan.stages[stage]` for chunk batch `b`,
-  /// priced on first request. `group` maps plan positions to global ranks
-  /// (empty = identity). The reference stays valid for the memo's life.
-  const ReshapeCost& reshape(const StagePlan& plan, std::size_t stage, int b,
-                             const gpu::DeviceSpec& device,
-                             const net::CommCost& cost,
-                             net::TransferMode mode, net::MpiFlavor flavor,
-                             const std::vector<int>& group = {});
+  /// Record of `plan.stages[stage]` for chunk batch `b`, priced on first
+  /// request. `group` maps plan positions to global ranks (empty =
+  /// identity). The reference stays valid for the memo's life.
+  const StageCost& stage(const StagePlan& plan, std::size_t stage, int b,
+                         const gpu::DeviceSpec& device,
+                         const net::CommCost& cost, net::TransferMode mode,
+                         net::MpiFlavor flavor,
+                         const std::vector<int>& group = {});
 
   const PricingCounters& counters() const { return counters_; }
 
@@ -156,7 +191,7 @@ class StageCostMemo {
   void check_invariants() const;
 
  private:
-  std::map<std::tuple<double, std::size_t, int>, ReshapeCost> entries_;
+  std::map<std::tuple<double, std::size_t, int>, StageCost> entries_;
   PricingCounters counters_;
 };
 
@@ -165,14 +200,16 @@ class StageCostMemo {
 /// sub-chunks, each chunk's exchange overlapping the next chunk's
 /// compute; the best chunk granularity is selected, as the paper tunes
 /// before reporting. Shared by simulate(), Simulator and the threaded
-/// Plan3D, so all execution modes charge the identical schedule. `group`
-/// maps plan positions to global ranks (empty = identity); `batch`
-/// overrides `plan.options.batch`. Models pre-created (warm) FFT plans.
-/// When `profile` is non-null it receives the winning schedule's
-/// per-chunk delivery profile. Reshape costs come from `memo` (bound to
-/// this call's plan, cost, group, device, mode and flavor); when it is
-/// null a memo local to the call is used, so each distinct chunk batch
-/// is still solved only once.
+/// Plan3D, so all execution modes charge the identical schedule. Each
+/// chunk schedules its stages' StageCost records, one operation per
+/// kernel (per exchange call) on its stream. `group` maps plan positions
+/// to global ranks (empty = identity); `batch` overrides
+/// `plan.options.batch`. Models pre-created (warm) FFT plans. When
+/// `profile` is non-null it receives the winning schedule's per-chunk
+/// delivery profile. Records come from `memo` (bound to this call's plan,
+/// cost, group, device, mode and flavor); when it is null a memo local to
+/// the call is used, so each distinct chunk batch is still solved only
+/// once.
 double overlapped_batch_time(const StagePlan& plan,
                              const gpu::DeviceSpec& device,
                              const net::CommCost& cost,

@@ -42,7 +42,7 @@ void distributed_reshape(smpi::Comm& comm, const Box3& from, const Box3& to,
   out.assign(static_cast<std::size_t>(to.count()), cplx{});
   std::vector<cplx> sendbuf, recvbuf;
   packed_reshape(comm, rp, 1, in.data(), out.data(), to_alg(backend), sendbuf,
-                 recvbuf);
+                 recvbuf, nullptr);
 }
 
 }  // namespace parfft::core

@@ -8,27 +8,29 @@ void Trace::add(obs::Category cat, std::string name, double t) {
   calls_.push_back({std::move(name), t, cat});
 }
 
+void KernelTimes::add(obs::Category cat, double t) {
+  switch (cat) {
+    case obs::Category::Fft:
+      fft += t;
+      break;
+    case obs::Category::Pack:
+      pack += t;
+      break;
+    case obs::Category::Unpack:
+      unpack += t;
+      break;
+    case obs::Category::Scale:
+      scale += t;
+      break;
+    default:  // Exchange / Wait / Send / Collective: communication time
+      comm += t;
+      break;
+  }
+}
+
 KernelTimes Trace::kernels() const {
   KernelTimes k;
-  for (const CallRecord& c : calls_) {
-    switch (c.cat) {
-      case obs::Category::Fft:
-        k.fft += c.seconds;
-        break;
-      case obs::Category::Pack:
-        k.pack += c.seconds;
-        break;
-      case obs::Category::Unpack:
-        k.unpack += c.seconds;
-        break;
-      case obs::Category::Scale:
-        k.scale += c.seconds;
-        break;
-      default:  // Exchange / Wait / Send / Collective: communication time
-        k.comm += c.seconds;
-        break;
-    }
-  }
+  for (const CallRecord& c : calls_) k.add(c.cat, c.seconds);
   return k;
 }
 

@@ -5,8 +5,9 @@
 /// (the per-MPI-call traces of Figs. 2, 3 and 10).
 ///
 /// Trace is the aggregate view; the span-level timeline lives in obs::Tracer
-/// (see obs/tracer.hpp). Both are fed from the same call sites with the same
-/// cost doubles, so their per-category sums agree bit-for-bit.
+/// (see obs/tracer.hpp). A threaded plan appends each kernel to both in one
+/// core::charge() call (core/plan.hpp), which also advances the rank's
+/// clock, so their per-category sums agree bit-for-bit.
 
 #include <string>
 #include <vector>
@@ -24,6 +25,9 @@ struct KernelTimes {
   double scale = 0;
 
   double total() const { return fft + pack + unpack + comm + scale; }
+  /// Adds `t` to the field of `cat`; every category but Fft, Pack, Unpack
+  /// and Scale is communication time.
+  void add(obs::Category cat, double t);
   KernelTimes& operator+=(const KernelTimes& o) {
     fft += o.fft;
     pack += o.pack;
@@ -43,21 +47,10 @@ struct CallRecord {
 };
 
 /// Flat per-plan record of every timed call, in execution order. All
-/// categories funnel through the single add() entry point; the named
-/// helpers only choose the category and display name.
+/// categories funnel through the single add() entry point.
 class Trace {
  public:
   void add(obs::Category cat, std::string name, double t);
-
-  void add_fft(double t, bool strided) {
-    add(obs::Category::Fft, strided ? "fft(strided)" : "fft(contiguous)", t);
-  }
-  void add_pack(double t) { add(obs::Category::Pack, "pack", t); }
-  void add_unpack(double t) { add(obs::Category::Unpack, "unpack", t); }
-  void add_scale(double t) { add(obs::Category::Scale, "scale", t); }
-  void add_comm(const std::string& routine, double t) {
-    add(obs::Category::Exchange, routine, t);
-  }
 
   /// Folds the call list into per-category totals.
   KernelTimes kernels() const;

@@ -106,6 +106,44 @@ TEST(Fft3dApi, AsymmetricLayoutsRoundTripThroughReversedPipeline) {
   });
 }
 
+// A scale pass is charged to the plan whose transform it normalizes: with
+// asymmetric layouts backward() runs the reversed pipeline, so its scale
+// pass lands in backward_plan()'s trace after the backward kernels, and
+// plan() keeps the forward transform alone.
+TEST(Fft3dApi, BackwardScaleIsChargedToTheReversedPipeline) {
+  const std::array<int, 3> n = {8, 12, 8};
+  smpi::RuntimeOptions ro;
+  ro.nranks = 6;
+  smpi::Runtime rt(ro);
+  rt.run([&](smpi::Comm& c) {
+    const auto in_all = brick_layout(n, c.size());
+    const auto out_all = grid_boxes(n, pencil_grid(c.size(), 2), c.size());
+    Fft3D fft(c, n, in_all[static_cast<std::size_t>(c.rank())],
+              out_all[static_cast<std::size_t>(c.rank())]);
+    ASSERT_NE(&fft.backward_plan(), &fft.plan());
+    Rng rng(35 + static_cast<std::uint64_t>(c.rank()));
+    const auto orig =
+        rng.complex_vector(static_cast<std::size_t>(fft.size_inbox()));
+    std::vector<cplx> freq, back;
+    fft.forward(orig, freq, Scale::Symmetric);
+    fft.backward(freq, back, Scale::Symmetric);
+
+    const auto scales = [](const Plan3D& p) {
+      int count = 0;
+      for (const CallRecord& call : p.trace().calls())
+        count += call.cat == obs::Category::Scale ? 1 : 0;
+      return count;
+    };
+    EXPECT_EQ(scales(fft.plan()), 1);
+    EXPECT_EQ(fft.plan().trace().calls().back().cat, obs::Category::Scale);
+    const Trace& bwd = fft.backward_plan().trace();
+    EXPECT_EQ(scales(fft.backward_plan()), 1);
+    EXPECT_EQ(bwd.calls().back().cat, obs::Category::Scale);
+    EXPECT_GT(bwd.kernels().fft, 0.0);
+    EXPECT_GT(bwd.kernels().comm, 0.0);
+  });
+}
+
 TEST(Fft3dApi, RejectsWrongSizes) {
   const std::array<int, 3> n = {8, 8, 8};
   smpi::RuntimeOptions ro;

@@ -26,35 +26,53 @@ SimConfig base_config(int nranks, std::array<int, 3> n) {
   return cfg;
 }
 
+/// Final clock of every rank after one threaded execution of `plan` on
+/// brick inputs. Each rank's Plan3D wraps the prebuilt plan (no
+/// collective set-up), so every clock starts at 0 like the simulator's.
+std::vector<double> threaded_clocks(const StagePlan& plan) {
+  smpi::RuntimeOptions ro;
+  ro.nranks = plan.nranks;
+  smpi::Runtime rt(ro);
+  const auto boxes = brick_layout(plan.n, plan.nranks);
+  rt.run([&](smpi::Comm& c) {
+    const Box3& box = boxes[static_cast<std::size_t>(c.rank())];
+    Plan3D p(c, plan, box, box);
+    std::vector<cplx> data(static_cast<std::size_t>(p.input_elements()),
+                           cplx{1, 1});
+    p.execute(data.data(), data.data(), dft::Direction::Forward);
+  });
+  std::vector<double> clocks;
+  for (int r = 0; r < plan.nranks; ++r) clocks.push_back(rt.final_vtime(r));
+  return clocks;
+}
+
+std::string describe(const SimConfig& cfg) {
+  return backend_name(cfg.options.backend) +
+         (cfg.options.contiguous_fft ? " contiguous" : " strided") +
+         " batch " + std::to_string(cfg.options.batch) +
+         (cfg.options.batch > 1 && cfg.options.overlap_batches ? " overlap"
+                                                                : "");
+}
+
 TEST(Simulate, AgreesWithThreadedExecution) {
-  // Same machine, same plan: the simulator's per-rank clocks must match
-  // the threaded runtime's virtual clocks for every backend.
-  const std::array<int, 3> n = {16, 16, 16};
-  const int R = 12;
+  // Same machine, same plan: the simulator's per-rank clocks equal the
+  // threaded runtime's virtual clocks bit for bit, for every backend and
+  // both FFT layouts.
   for (Backend backend : {Backend::Alltoallv, Backend::Alltoall,
                           Backend::Alltoallw, Backend::P2PNonBlocking}) {
-    SimConfig cfg = base_config(R, n);
-    cfg.options.backend = backend;
-    cfg.warmed = false;  // the threaded plan also pays first-call spikes
-    const SimReport rep = simulate(cfg);
-
-    smpi::RuntimeOptions ro;
-    ro.nranks = R;
-    smpi::Runtime rt(ro);
-    std::vector<double> threaded(static_cast<std::size_t>(R));
-    rt.run([&](smpi::Comm& c) {
-      const auto boxes = brick_layout(n, c.size());
-      const Box3& box = boxes[static_cast<std::size_t>(c.rank())];
-      Plan3D plan(c, n, box, box, cfg.options);
-      std::vector<cplx> data(static_cast<std::size_t>(box.count()), cplx{1, 1});
-      const double t0 = c.vtime();
-      plan.execute(data.data(), data.data(), dft::Direction::Forward);
-      threaded[static_cast<std::size_t>(c.rank())] = c.vtime() - t0;
-    });
-    const double threaded_max =
-        *std::max_element(threaded.begin(), threaded.end());
-    EXPECT_NEAR(rep.total, threaded_max, 1e-9 + 1e-9 * threaded_max)
-        << backend_name(backend);
+    for (bool contiguous : {false, true}) {
+      SimConfig cfg = base_config(12, {16, 16, 16});
+      cfg.options.backend = backend;
+      cfg.options.contiguous_fft = contiguous;
+      cfg.warmed = false;  // the threaded plan also pays first-call spikes
+      const SimReport rep = simulate(cfg);
+      const std::vector<double> threaded =
+          threaded_clocks(Simulator(cfg).plan());
+      for (int r = 0; r < cfg.nranks; ++r)
+        EXPECT_EQ(threaded[static_cast<std::size_t>(r)],
+                  rep.rank_times[static_cast<std::size_t>(r)])
+            << describe(cfg) << " rank " << r;
+    }
   }
 }
 
@@ -201,44 +219,40 @@ TEST(Simulate, RejectsBadConfig) {
 }
 
 TEST(Simulate, SimulatorAgreesWithThreadedBatchedExecution) {
-  // Reusable plan handles (core::Simulator) and the threaded runtime must
-  // charge identical virtual time for batched transforms, with the
-  // overlap pipeline both on and off. Alltoallw is excluded: the threaded
-  // datatype path issues `batch` separate exchanges by design, which the
-  // at-scale model prices as one scaled exchange.
-  const std::array<int, 3> n = {16, 16, 16};
-  const int R = 12;
+  // Batched transforms, the overlap pipeline off and on. Without overlap
+  // every rank's clock equals the simulator's bit for bit. With overlap,
+  // the threaded plan moves the data stage by stage, reaching the
+  // sequential pass's clocks (max seq), and then one collective settles
+  // each clock to seq + (t - seq), where t is the pipelined time both
+  // modes price. That sum is t up to one rounding, so it is checked as
+  // written rather than against t under a tolerance.
   const int B = 3;
-  for (bool overlap : {false, true}) {
-    for (Backend backend : {Backend::Alltoallv, Backend::P2PNonBlocking}) {
-      SimConfig cfg = base_config(R, n);
+  for (Backend backend :
+       {Backend::Alltoallv, Backend::P2PNonBlocking, Backend::Alltoallw}) {
+    for (bool contiguous : {false, true}) {
+      SimConfig cfg = base_config(12, {16, 16, 16});
       cfg.options.backend = backend;
+      cfg.options.contiguous_fft = contiguous;
       cfg.options.batch = B;
-      cfg.options.overlap_batches = overlap;
-      cfg.warmed = false;
-      Simulator sim(cfg);
-      // Sequential batches pay first-call plan spikes like the threaded
-      // plan below; the overlap pipeline prices warm plans either way.
-      const double model = sim.transform_time(B, /*cold=*/!overlap);
+      cfg.options.overlap_batches = false;
+      cfg.warmed = false;  // the threaded plan also pays first-call spikes
+      const SimReport seq = simulate(cfg);
+      const std::vector<double> threaded_seq =
+          threaded_clocks(Simulator(cfg).plan());
+      for (int r = 0; r < cfg.nranks; ++r)
+        EXPECT_EQ(threaded_seq[static_cast<std::size_t>(r)],
+                  seq.rank_times[static_cast<std::size_t>(r)])
+            << describe(cfg) << " rank " << r;
 
-      smpi::RuntimeOptions ro;
-      ro.nranks = R;
-      smpi::Runtime rt(ro);
-      std::vector<double> threaded(static_cast<std::size_t>(R));
-      rt.run([&](smpi::Comm& c) {
-        const auto boxes = brick_layout(n, c.size());
-        const Box3& box = boxes[static_cast<std::size_t>(c.rank())];
-        Plan3D plan(c, n, box, box, cfg.options);
-        std::vector<cplx> data(static_cast<std::size_t>(box.count() * B),
-                               cplx{1, 1});
-        const double t0 = c.vtime();
-        plan.execute(data.data(), data.data(), dft::Direction::Forward);
-        threaded[static_cast<std::size_t>(c.rank())] = c.vtime() - t0;
-      });
-      const double threaded_max =
-          *std::max_element(threaded.begin(), threaded.end());
-      EXPECT_NEAR(model, threaded_max, 1e-9 + 1e-9 * threaded_max)
-          << backend_name(backend) << (overlap ? " overlap" : " sequential");
+      cfg.options.overlap_batches = true;
+      Simulator sim(cfg);
+      // The pipeline prices warm plans either way.
+      const double t = sim.transform_time(B);
+      const std::vector<double> threaded = threaded_clocks(sim.plan());
+      for (int r = 0; r < cfg.nranks; ++r)
+        EXPECT_EQ(threaded[static_cast<std::size_t>(r)],
+                  seq.total + (t - seq.total))
+            << describe(cfg) << " rank " << r;
     }
   }
 }
@@ -270,52 +284,46 @@ TEST(Simulate, SimulatorMatchesSimulateAndMemoizes) {
       << "cold first transform must pay Fig. 10's plan-setup spike";
 }
 
-// Known approximation (ReshapeCost, DESIGN.md 3.1): the overlapped
-// pipeline prices a contiguous_fft plan's FFT axes without the two
-// reorder transposes the sequential pass charges. At batch 1 its one-chunk
-// schedule is the in-order sum of each reshape's max pack, exchange and
-// max unpack and each FFT axis's max contiguous fft_cost. A fix that
-// charges the transposes has to change this test on purpose.
-TEST(Simulate, OverlappedPipelineChargesNoReorderTransposes) {
-  SimConfig cfg = base_config(12, {32, 32, 32});
-  cfg.options.contiguous_fft = true;
-  const auto boxes = brick_layout(cfg.n, cfg.nranks);
-  const StagePlan plan = build_stages(cfg.n, cfg.nranks, boxes, boxes,
-                                      cfg.options, cfg.machine);
-  const net::RankMap map{cfg.machine.gpus_per_node};
-  const net::CommCost cost(cfg.machine, map, cfg.nranks);
-  const net::TransferMode mode = net::TransferMode::GpuAware;
-  StageCostMemo memo;
-  double want = 0;
-  for (std::size_t i = 0; i < plan.stages.size(); ++i) {
-    const Stage& s = plan.stages[i];
-    if (s.kind == Stage::Kind::Reshape) {
-      const ReshapeCost& rc =
-          memo.reshape(plan, i, 1, cfg.device, cost, mode, cfg.flavor);
-      want += rc.max_pack;
-      want += rc.phase.total;
-      want += rc.max_unpack;
-      continue;
-    }
-    double stage = 0;
-    for (int axis : s.axes) {
-      double mx = 0;
-      for (const Box3& box : s.boxes) {
-        if (box.empty()) continue;
-        const int len = static_cast<int>(box.size(axis));
-        mx = std::max(mx, gpu::fft_cost(cfg.device, len,
-                                        static_cast<int>(box.count() / len),
-                                        /*strided=*/false));
+// The pipeline schedules the same stage records the sequential pass sums.
+// At batch 1 its one-chunk schedule is the in-order sum of each kernel's
+// maximum over ranks, contiguous_fft's transposes included. Alltoallw's records hold no GPU pack or unpack, so the
+// pipeline and the sequential pass both charge it no packing.
+TEST(Simulate, OverlappedPipelineSchedulesTheStageRecords) {
+  for (Backend backend : {Backend::Alltoallv, Backend::Alltoallw}) {
+    for (bool contiguous : {false, true}) {
+      SimConfig cfg = base_config(12, {32, 32, 32});
+      cfg.options.backend = backend;
+      cfg.options.contiguous_fft = contiguous;
+      SCOPED_TRACE(describe(cfg));
+      const auto boxes = brick_layout(cfg.n, cfg.nranks);
+      const StagePlan plan = build_stages(cfg.n, cfg.nranks, boxes, boxes,
+                                          cfg.options, cfg.machine);
+      const net::RankMap map{cfg.machine.gpus_per_node};
+      const net::CommCost cost(cfg.machine, map, cfg.nranks);
+      const net::TransferMode mode = net::TransferMode::GpuAware;
+      StageCostMemo memo;
+      double want = 0;
+      int reorders = 0, packs = 0;
+      for (std::size_t i = 0; i < plan.stages.size(); ++i) {
+        const StageCost& sc =
+            memo.stage(plan, i, 1, cfg.device, cost, mode, cfg.flavor);
+        for (const Kernel& k : sc.slots) {
+          reorders += k.kind == KernelKind::Reorder ? 1 : 0;
+          packs += k.kind == KernelKind::Pack || k.kind == KernelKind::Unpack
+                       ? 1
+                       : 0;
+          for (int call = 0; call < k.calls; ++call) want += k.seconds;
+        }
       }
-      stage += mx;
+      EXPECT_EQ(overlapped_batch_time(plan, cfg.device, cost, mode,
+                                      cfg.flavor, 1),
+                want);
+      EXPECT_EQ(reorders > 0, contiguous);
+      EXPECT_EQ(packs > 0, backend != Backend::Alltoallw);
+      const SimReport seq = simulate(cfg);
+      EXPECT_EQ(seq.kernels.unpack > 0, backend != Backend::Alltoallw);
     }
-    want += stage;
   }
-  const double got =
-      overlapped_batch_time(plan, cfg.device, cost, mode, cfg.flavor, 1);
-  EXPECT_EQ(got, want);
-  EXPECT_GT(simulate(cfg).total, got)
-      << "the sequential pass charges the transposes the pipeline omits";
 }
 
 // The stage-cost memo reuses exact solves, so a long-lived Simulator must
