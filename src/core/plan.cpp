@@ -166,7 +166,7 @@ void Plan3D::execute(const cplx* in, cplx* out, dft::Direction dir) {
   const int batch = plan_.options.batch;
   const bool overlap = batch > 1 && plan_.options.overlap_batches &&
                        !plan_.stages.empty();
-  const double overlap_base = overlap ? overlap_entry_sync() : 0.0;
+  const double entry = comm_.vtime();
   work_.assign(static_cast<std::size_t>(input_elements()), cplx{});
   if (input_elements() > 0)
     std::memcpy(work_.data(), in,
@@ -210,7 +210,7 @@ void Plan3D::execute(const cplx* in, cplx* out, dft::Direction dir) {
 
   // Settle the pipelined-batch charge before the (once-per-batch) scaling
   // pass so normalization lands after the overlapped window.
-  if (overlap) overlap_settle(overlap_base);
+  if (overlap) overlap_settle(entry);
 
   if (dir == dft::Direction::Backward &&
       plan_.options.scaling == Scaling::Full) {
@@ -230,54 +230,35 @@ void Plan3D::execute(const cplx* in, cplx* out, dft::Direction dir) {
                 static_cast<std::size_t>(output_elements()) * sizeof(cplx));
 }
 
-double Plan3D::overlap_entry_sync() {
-  // Zero-cost collective (exit cost 0): aligns every member's clock on
-  // the max entry clock -- the pipelined schedule is a group property, so
-  // all ranks must charge the same window -- and gathers the world ranks
-  // the congestion model needs to place the exchange on the fabric.
+void Plan3D::overlap_settle(double entry) {
+  // The stages above charged sequential time; every member now leaves at
+  // base + t instead, base being the latest execute-entry clock and t the
+  // Fig. 13 pipeline the simulator prices. Plan, group, batch and cost
+  // model are fixed for the plan's life, so the first settle's leader
+  // prices t once, on the members' world ranks, for every member's plan.
   struct C {
+    double entry;
     int wrank;
-  } mine{comm_.world_rank()};
-  overlap_group_.assign(static_cast<std::size_t>(comm_.size()), 0);
-  comm_.collective(
-      &mine, nullptr,
-      [this](const smpi::Comm::ContribView& all) {
-        for (std::size_t r = 0; r < all.size(); ++r)
-          overlap_group_[r] = static_cast<const C*>(all[r])->wrank;
-      },
-      [](int, int) { return 0.0; });
-  return comm_.vtime();
-}
-
-void Plan3D::overlap_settle(double base) {
-  // The stages above moved the batch's data sequentially and charged
-  // sequential virtual time; replace that charge with the two-stream
-  // pipelined schedule (identical on every rank, computed from the same
-  // plan + cost model the simulator uses). The collective's leader
-  // publishes the max sequential clock into every member's slot so each
-  // rank can rebase itself to base + pipeline time.
-  struct C {
-    double* t;
-  };
-  double seq_max = comm_.vtime();
-  C mine{&seq_max};
-  const net::TransferMode mode = comm_.options().gpu_aware
-                                     ? net::TransferMode::GpuAware
-                                     : net::TransferMode::Staged;
-  const double target =
-      base + overlapped_batch_time(plan_, dev_, comm_.cost(), mode,
-                                   comm_.options().flavor,
-                                   plan_.options.batch, overlap_group_);
-  comm_.collective(
-      &mine,
-      [](const smpi::Comm::ContribView& all) {
-        double m = 0;
-        for (const void* c : all)
-          m = std::max(m, *static_cast<const C*>(c)->t);
-        for (const void* c : all) *static_cast<const C*>(c)->t = m;
-      },
-      nullptr,
-      [&seq_max, target](int, int) { return target - seq_max; });
+    std::optional<double>* t;
+  } mine{entry, comm_.world_rank(), &overlap_time_};
+  comm_.settle_clocks(&mine, [this](const smpi::Comm::ContribView& all) {
+    auto at = [&all](std::size_t r) { return static_cast<const C*>(all[r]); };
+    double base = 0;
+    for (std::size_t r = 0; r < all.size(); ++r)
+      base = std::max(base, at(r)->entry);
+    if (!overlap_time_) {
+      std::vector<int> group(all.size());
+      for (std::size_t r = 0; r < all.size(); ++r) group[r] = at(r)->wrank;
+      const net::TransferMode mode = comm_.options().gpu_aware
+                                         ? net::TransferMode::GpuAware
+                                         : net::TransferMode::Staged;
+      const double t = overlapped_batch_time(plan_, dev_, comm_.cost(), mode,
+                                             comm_.options().flavor,
+                                             plan_.options.batch, group);
+      for (std::size_t r = 0; r < all.size(); ++r) *at(r)->t = t;
+    }
+    return base + *overlap_time_;
+  });
 }
 
 void Plan3D::run_reshape_collective(const Stage& stage) {

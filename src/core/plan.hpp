@@ -11,6 +11,7 @@
 
 #include <array>
 #include <cstddef>
+#include <optional>
 #include <vector>
 
 #include "core/stages.hpp"
@@ -42,9 +43,11 @@ class Plan3D {
   ///
   /// An FFT stage charges this rank's stage_kernels() (core/simulate.hpp),
   /// the kernels the simulator prices. With options.batch > 1 and
-  /// options.overlap_batches the data still moves stage by stage, and the
-  /// clock is then settled to core::overlapped_batch_time(), the Fig. 13
-  /// schedule the simulator prices; trace() keeps the sequential times.
+  /// options.overlap_batches the data still moves stage by stage, and one
+  /// collective then sets every rank's clock to the latest execute-entry
+  /// clock plus core::overlapped_batch_time(), the Fig. 13 schedule the
+  /// simulator prices. That time is priced once per plan, on its first
+  /// overlapped execute; trace() keeps the sequential times.
   void execute(const cplx* in, cplx* out, dft::Direction dir);
 
   const StagePlan& stage_plan() const { return plan_; }
@@ -62,12 +65,9 @@ class Plan3D {
   const Trace& trace() const { return trace_; }
 
  private:
-  /// Aligns every rank's clock on the max entry clock (no virtual-time
-  /// charge) and gathers the communicator's world ranks; returns the
-  /// common base time the overlapped schedule is charged from.
-  double overlap_entry_sync();
-  /// Rewrites every rank's clock to `base` + the pipelined batch time.
-  void overlap_settle(double base);
+  /// Collective: sets every member's clock to the latest of the members'
+  /// execute-entry clocks plus the pipelined batch time.
+  void overlap_settle(double entry);
   void run_reshape_collective(const Stage& stage);
   void run_reshape_datatype(const Stage& stage);
   void run_reshape_p2p(const Stage& stage, int tag_base);
@@ -82,7 +82,8 @@ class Plan3D {
   Trace trace_;
   // Work buffers: batch-major local bricks of the current layout.
   std::vector<cplx> work_, work2_, sendbuf_, recvbuf_;
-  std::vector<int> overlap_group_;  ///< world ranks, gathered on first use
+  /// The pipelined batch time, priced by the first overlapped execute.
+  std::optional<double> overlap_time_;
   int tag_counter_ = 100;
 };
 

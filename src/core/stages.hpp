@@ -51,8 +51,10 @@ struct PlanOptions {
   /// this many ranks take part in the FFT stages; data is remapped pre and
   /// post computation (Algorithm 1, line 2).
   int shrink_to = 0;
-  /// Overlap communication and computation across batch sub-chunks
-  /// (simulate-mode timing; the source of the Fig. 13 speedup).
+  /// Overlap communication and computation across batch sub-chunks (the
+  /// source of the Fig. 13 speedup). Both the simulator and the threaded
+  /// Plan3D charge the pipelined schedule; the threaded plan still moves
+  /// the data stage by stage.
   bool overlap_batches = true;
   Scaling scaling = Scaling::None;
   /// Span/metric recording for this plan's executions (simulate mode). Also

@@ -52,7 +52,6 @@ int Runtime::new_group(std::vector<int> members) {
   g.id = id;
   g.members = std::move(members);
   g.contrib.assign(g.members.size(), nullptr);
-  g.entry.assign(g.members.size(), 0.0);
   return id;
 }
 
@@ -337,11 +336,9 @@ void Comm::collective(const void* contribution,
     rt_->check_abort();
   }
   g.contrib[static_cast<std::size_t>(grank_)] = contribution;
-  g.entry[static_cast<std::size_t>(grank_)] = me.vclock;
+  g.base_time = g.arrived == 0 ? me.vclock : std::max(g.base_time, me.vclock);
   ++g.arrived;
   if (g.arrived == G) {
-    g.base_time = 0;
-    for (double e : g.entry) g.base_time = std::max(g.base_time, e);
     if (leader) {
       try {
         leader(g.contrib);
@@ -382,13 +379,10 @@ void Comm::collective(const void* contribution,
     lk.lock();
   }
   --g.reading;
-  // The collective synchronizes to the latest entry clock. exit_cost may
-  // be negative by contract (overlap_settle rebases a sequential charge
-  // to the pipelined schedule), but no rank can land before time zero.
-  PARFFT_PARANOID_ASSERT(g.base_time >=
-                         g.entry[static_cast<std::size_t>(grank_)]);
-  me.vclock = g.base_time + (exit_cost ? exit_cost(grank_, G) : 0.0);
-  PARFFT_PARANOID_ASSERT(me.vclock >= 0);
+  // The collective synchronizes to the latest entry clock (or to the clock
+  // a settle_clocks leader fixed) and then charges the exit cost.
+  const double cost = exit_cost ? exit_cost(grank_, G) : 0.0;
+  me.vclock = g.base_time + cost;
   --g.departed;
   if (g.departed == 0) {
     g.cv.notify_all();
@@ -401,6 +395,21 @@ void Comm::collective(const void* contribution,
       if (g.reading == 0) rt_->check_abort();
     }
   }
+  // Checked once the group has drained, so a failed check leaves the
+  // communicator usable by the next run.
+  PARFFT_PARANOID_ASSERT(cost >= 0);
+  PARFFT_PARANOID_ASSERT(me.vclock >= 0);
+}
+
+void Comm::settle_clocks(
+    const void* contribution,
+    const std::function<double(const ContribView&)>& leader) {
+  collective(
+      contribution,
+      [this, &leader](const ContribView& all) {
+        rt_->group(group_id_).base_time = leader(all);
+      },
+      nullptr, nullptr);
 }
 
 namespace {

@@ -215,14 +215,21 @@ class Comm {
   /// member runs `reader` concurrently and outside the group lock (so a
   /// reader may read any contribution but write only its own buffers),
   /// and finally every member's clock becomes
-  /// max(entry clocks) + exit_cost(my group rank, group size). A leader
-  /// that throws withdraws its contribution and fails the run; the other
-  /// members withdraw theirs as the run aborts.
+  /// max(entry clocks) + exit_cost(my group rank, group size), with
+  /// exit_cost >= 0 (checked under PARFFT_PARANOID). A leader that throws
+  /// withdraws its contribution and fails the run; the other members
+  /// withdraw theirs as the run aborts.
   using ContribView = std::vector<const void*>;
   void collective(const void* contribution,
                   const std::function<void(const ContribView&)>& leader,
                   const std::function<void(const ContribView&)>& reader,
                   const std::function<double(int, int)>& exit_cost);
+
+  /// The one collective that sets clocks rather than advancing them: every
+  /// member leaves at exactly the clock `leader` returns, even one earlier
+  /// than its entry clock (Plan3D's overlapped settle).
+  void settle_clocks(const void* contribution,
+                     const std::function<double(const ContribView&)>& leader);
 
   /// Cost of a tree reduction/broadcast of `bytes` over `group_size` ranks.
   double tree_cost(double bytes, int group_size) const;
@@ -312,8 +319,7 @@ class Runtime {
     int reading = 0;  ///< members whose reader phase has not finished
     std::uint64_t generation = 0;
     std::vector<const void*> contrib;
-    std::vector<double> entry;
-    double base_time = 0;  ///< max entry clock, set by the leader
+    double base_time = 0;  ///< max entry clock (settle_clocks: the leader's)
   };
 
   Group& group(int id);

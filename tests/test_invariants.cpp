@@ -4,7 +4,8 @@
 /// byte-identical results with checking on and off, the report and
 /// plan-cache verifiers accept real runs and reject corrupted state, the
 /// flow simulator never over-allocates a link, and -- in PARFFT_PARANOID
-/// builds -- violations actually throw.
+/// builds -- violations (a mis-nested span, a negative collective exit
+/// cost) actually throw.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +17,7 @@
 #include "netsim/flowsim.hpp"
 #include "obs/tracer.hpp"
 #include "serve/server.hpp"
+#include "simmpi/runtime.hpp"
 
 namespace parfft::serve {
 namespace {
@@ -376,6 +378,24 @@ TEST(ParanoidViolations, TracerMisnestedSpanThrows) {
   // A child claiming to start before its open parent is mis-nested.
   EXPECT_THROW(
       tracer.complete(0, obs::Category::Fft, "child", 1.0, 0.5), Error);
+  set_paranoid(prev);
+}
+
+TEST(ParanoidViolations, NegativeCollectiveExitCostThrows) {
+  // Only settle_clocks may set a clock back; an ordinary collective that
+  // charges a negative exit cost is a bug. The check runs once the group
+  // has drained, so the runtime stays usable.
+  const bool prev = set_paranoid(true);
+  smpi::RuntimeOptions ro;
+  ro.nranks = 3;
+  smpi::Runtime rt(ro);
+  EXPECT_THROW(rt.run([](smpi::Comm& c) {
+                 c.advance(1.0);
+                 c.collective(nullptr, nullptr, nullptr,
+                              [](int, int) { return -0.5; });
+               }),
+               Error);
+  EXPECT_NO_THROW(rt.run([](smpi::Comm& c) { c.barrier(); }));
   set_paranoid(prev);
 }
 

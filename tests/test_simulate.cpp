@@ -26,23 +26,29 @@ SimConfig base_config(int nranks, std::array<int, 3> n) {
   return cfg;
 }
 
-/// Final clock of every rank after one threaded execution of `plan` on
-/// brick inputs. Each rank's Plan3D wraps the prebuilt plan (no
-/// collective set-up), so every clock starts at 0 like the simulator's.
-std::vector<double> threaded_clocks(const StagePlan& plan) {
+/// Every rank's clock after each of `executes` threaded executions of
+/// `plan` on brick inputs (clocks[e][r]). Each rank's Plan3D wraps the
+/// prebuilt plan (no collective set-up), so every clock starts at 0 like
+/// the simulator's.
+std::vector<std::vector<double>> threaded_clocks(const StagePlan& plan,
+                                                 int executes = 1) {
   smpi::RuntimeOptions ro;
   ro.nranks = plan.nranks;
   smpi::Runtime rt(ro);
   const auto boxes = brick_layout(plan.n, plan.nranks);
+  std::vector<std::vector<double>> clocks(
+      static_cast<std::size_t>(executes),
+      std::vector<double>(static_cast<std::size_t>(plan.nranks)));
   rt.run([&](smpi::Comm& c) {
-    const Box3& box = boxes[static_cast<std::size_t>(c.rank())];
-    Plan3D p(c, plan, box, box);
+    const auto me = static_cast<std::size_t>(c.rank());
+    Plan3D p(c, plan, boxes[me], boxes[me]);
     std::vector<cplx> data(static_cast<std::size_t>(p.input_elements()),
                            cplx{1, 1});
-    p.execute(data.data(), data.data(), dft::Direction::Forward);
+    for (auto& after : clocks) {
+      p.execute(data.data(), data.data(), dft::Direction::Forward);
+      after[me] = c.vtime();
+    }
   });
-  std::vector<double> clocks;
-  for (int r = 0; r < plan.nranks; ++r) clocks.push_back(rt.final_vtime(r));
   return clocks;
 }
 
@@ -67,7 +73,7 @@ TEST(Simulate, AgreesWithThreadedExecution) {
       cfg.warmed = false;  // the threaded plan also pays first-call spikes
       const SimReport rep = simulate(cfg);
       const std::vector<double> threaded =
-          threaded_clocks(Simulator(cfg).plan());
+          threaded_clocks(Simulator(cfg).plan())[0];
       for (int r = 0; r < cfg.nranks; ++r)
         EXPECT_EQ(threaded[static_cast<std::size_t>(r)],
                   rep.rank_times[static_cast<std::size_t>(r)])
@@ -221,39 +227,99 @@ TEST(Simulate, RejectsBadConfig) {
 TEST(Simulate, SimulatorAgreesWithThreadedBatchedExecution) {
   // Batched transforms, the overlap pipeline off and on. Without overlap
   // every rank's clock equals the simulator's bit for bit. With overlap,
-  // the threaded plan moves the data stage by stage, reaching the
-  // sequential pass's clocks (max seq), and then one collective settles
-  // each clock to seq + (t - seq), where t is the pipelined time both
-  // modes price. That sum is t up to one rounding, so it is checked as
-  // written rather than against t under a tolerance.
-  const int B = 3;
+  // the threaded plan moves the data stage by stage and one collective
+  // then lands every clock on the latest entry clock plus t, the
+  // pipelined time both modes price: exactly t after the first execute,
+  // and 2t after a second execute of the same plan, which reuses the t
+  // its first execute priced.
+  struct Case {
+    int nranks;
+    std::array<int, 3> n;
+    int batch;
+    Backend backend;
+    bool contiguous;
+  };
+  std::vector<Case> cases;
   for (Backend backend :
-       {Backend::Alltoallv, Backend::P2PNonBlocking, Backend::Alltoallw}) {
-    for (bool contiguous : {false, true}) {
-      SimConfig cfg = base_config(12, {16, 16, 16});
-      cfg.options.backend = backend;
-      cfg.options.contiguous_fft = contiguous;
-      cfg.options.batch = B;
-      cfg.options.overlap_batches = false;
-      cfg.warmed = false;  // the threaded plan also pays first-call spikes
-      const SimReport seq = simulate(cfg);
-      const std::vector<double> threaded_seq =
-          threaded_clocks(Simulator(cfg).plan());
-      for (int r = 0; r < cfg.nranks; ++r)
-        EXPECT_EQ(threaded_seq[static_cast<std::size_t>(r)],
-                  seq.rank_times[static_cast<std::size_t>(r)])
-            << describe(cfg) << " rank " << r;
+       {Backend::Alltoallv, Backend::P2PNonBlocking, Backend::Alltoallw})
+    for (bool contiguous : {false, true})
+      cases.push_back({12, {16, 16, 16}, 3, backend, contiguous});
+  // Eight nodes, where the exchanges' placement on the fabric matters.
+  cases.push_back({48, {32, 32, 32}, 8, Backend::Alltoallv, false});
+  for (const Case& c : cases) {
+    SimConfig cfg = base_config(c.nranks, c.n);
+    cfg.options.backend = c.backend;
+    cfg.options.contiguous_fft = c.contiguous;
+    cfg.options.batch = c.batch;
+    cfg.options.overlap_batches = false;
+    cfg.warmed = false;  // the threaded plan also pays first-call spikes
+    const SimReport seq = simulate(cfg);
+    const std::vector<double> threaded_seq =
+        threaded_clocks(Simulator(cfg).plan())[0];
+    for (int r = 0; r < cfg.nranks; ++r)
+      EXPECT_EQ(threaded_seq[static_cast<std::size_t>(r)],
+                seq.rank_times[static_cast<std::size_t>(r)])
+          << describe(cfg) << " rank " << r;
 
-      cfg.options.overlap_batches = true;
-      Simulator sim(cfg);
-      // The pipeline prices warm plans either way.
-      const double t = sim.transform_time(B);
-      const std::vector<double> threaded = threaded_clocks(sim.plan());
-      for (int r = 0; r < cfg.nranks; ++r)
-        EXPECT_EQ(threaded[static_cast<std::size_t>(r)],
-                  seq.total + (t - seq.total))
-            << describe(cfg) << " rank " << r;
+    cfg.options.overlap_batches = true;
+    Simulator sim(cfg);
+    // The pipeline prices warm plans either way.
+    const double t = sim.transform_time(c.batch);
+    const auto threaded = threaded_clocks(sim.plan(), 2);
+    for (int r = 0; r < cfg.nranks; ++r) {
+      EXPECT_EQ(threaded[0][static_cast<std::size_t>(r)], t)
+          << describe(cfg) << " rank " << r;
+      EXPECT_EQ(threaded[1][static_cast<std::size_t>(r)], t + t)
+          << describe(cfg) << " rank " << r << ", second execute";
     }
+  }
+}
+
+TEST(Simulate, ThreadedOverlapOnASubCommunicatorMatchesThePricedPipeline) {
+  // The settle prices the pipeline on its communicator's world ranks. The
+  // odd ranks of 12 span both Summit nodes, where ranks 0-5 would share
+  // one, so an identity group would price another time.
+  const std::vector<int> members{1, 3, 5, 7, 9, 11};
+  smpi::RuntimeOptions ro;
+  ro.nranks = 12;
+  PlanOptions opt;
+  opt.decomp = Decomposition::Pencil;
+  opt.batch = 3;
+  const std::array<int, 3> n{16, 16, 16};
+  const auto boxes = brick_layout(n, 6);
+  const StagePlan plan = build_stages(n, 6, boxes, boxes, opt, ro.machine);
+
+  smpi::Runtime rt(ro);
+  std::vector<double> entry(12), first(12), second(12);
+  rt.run([&](smpi::Comm& world) {
+    smpi::Comm sub = world.create_group(members);
+    if (!sub.valid()) return;
+    const auto me = static_cast<std::size_t>(sub.rank());
+    const auto w = static_cast<std::size_t>(world.world_rank());
+    Plan3D p(sub, plan, boxes[me], boxes[me]);
+    std::vector<cplx> data(static_cast<std::size_t>(p.input_elements()),
+                           cplx{1, 1});
+    entry[w] = sub.vtime();
+    p.execute(data.data(), data.data(), dft::Direction::Forward);
+    first[w] = sub.vtime();
+    p.execute(data.data(), data.data(), dft::Direction::Forward);
+    second[w] = sub.vtime();
+  });
+
+  const net::CommCost cost(ro.machine, net::RankMap{ro.machine.gpus_per_node},
+                           ro.nranks);
+  const double t =
+      overlapped_batch_time(plan, ro.device, cost, net::TransferMode::GpuAware,
+                            ro.flavor, opt.batch, members);
+  ASSERT_NE(t, overlapped_batch_time(plan, ro.device, cost,
+                                     net::TransferMode::GpuAware, ro.flavor,
+                                     opt.batch));
+  double base = 0;
+  for (int m : members) base = std::max(base, entry[static_cast<std::size_t>(m)]);
+  for (int m : members) {
+    EXPECT_EQ(first[static_cast<std::size_t>(m)], base + t) << "rank " << m;
+    EXPECT_EQ(second[static_cast<std::size_t>(m)], base + t + t)
+        << "rank " << m << ", second execute";
   }
 }
 
