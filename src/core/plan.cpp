@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "common/error.hpp"
+#include "common/paranoid.hpp"
 #include "core/pack.hpp"
 #include "core/simulate.hpp"
 #include "fft/many.hpp"
@@ -39,51 +40,71 @@ void charge(smpi::Comm& comm, Trace* trace, obs::Category cat,
 
 namespace {
 
-/// Pack half of a packed reshape: packs this rank's outgoing regions into
-/// `sendbuf` (ascending peer, batch-major within a region) and charges
-/// the pack kernel.
+/// `region` of the brick `local` as a datatype of T elements, repeated
+/// over `batch` consecutive bricks.
 template <typename T>
-void pack_sends(smpi::Comm& comm, const ReshapePlan& rp, int batch,
-                const T* in, std::vector<T>& sendbuf, Trace* trace) {
-  const int me = comm.rank();
+smpi::Subarray subarray_of(const Box3& local, const Box3& region, int batch) {
+  smpi::Subarray s;
+  s.full = {local.size(0), local.size(1), local.size(2)};
+  s.sub = {region.size(0), region.size(1), region.size(2)};
+  s.off = {region.lo[0] - local.lo[0], region.lo[1] - local.lo[1],
+           region.lo[2] - local.lo[2]};
+  s.elem_bytes = sizeof(T);
+  s.hcount = batch;
+  s.hstride = local.count() * static_cast<idx_t>(sizeof(T));
+  return s;
+}
+
+/// This rank's datatypes of one reshape, one per peer (empty: no traffic):
+/// each region it sends as a subarray of its `batch` source bricks, each
+/// region it receives as one of its `batch` destination bricks. Every
+/// reshape path builds its messages from these.
+struct PeerTypes {
+  std::vector<smpi::Subarray> send, recv;
+};
+
+template <typename T>
+PeerTypes peer_types(const ReshapePlan& rp, int me, int batch) {
+  // No path clears the destination first: the received regions must
+  // cover every element of it exactly once.
+  PARFFT_PARANOID_ASSERT(rp.recvs_tile(me));
+  const auto R = static_cast<std::size_t>(rp.nranks());
   const Box3& from = rp.from()[static_cast<std::size_t>(me)];
+  const Box3& to = rp.to()[static_cast<std::size_t>(me)];
+  PeerTypes types{std::vector<smpi::Subarray>(R),
+                  std::vector<smpi::Subarray>(R)};
+  for (const Transfer& t : rp.sends(me))
+    types.send[static_cast<std::size_t>(t.peer)] =
+        subarray_of<T>(from, t.region, batch);
+  for (const Transfer& t : rp.recvs(me))
+    types.recv[static_cast<std::size_t>(t.peer)] =
+        subarray_of<T>(to, t.region, batch);
+  return types;
+}
+
+/// Charges Algorithm 1's pack kernel of a reshape on this rank and records
+/// its fan-out. The GPU would pack into a send buffer; on the host the
+/// blocks move once, receiver-side, so the kernel is priced, not run.
+void charge_pack(smpi::Comm& comm, const ReshapePlan& rp, int batch,
+                 std::size_t elem_bytes, Trace* trace) {
+  const int me = comm.rank();
   const std::vector<Transfer>& sends = rp.sends(me);
-  sendbuf.resize(static_cast<std::size_t>(rp.max_send_elements(me) * batch));
-  idx_t off = 0;
-  for (const Transfer& t : sends) {
-    const idx_t cnt = t.region.count();
-    for (int b = 0; b < batch; ++b)
-      pack_box_t(in + static_cast<idx_t>(b) * from.count(), from, t.region,
-                 sendbuf.data() + off + static_cast<idx_t>(b) * cnt);
-    off += cnt * batch;
-  }
   charge(comm, trace, obs::Category::Pack, "pack",
-         pack_kernel_time(comm.options().device, from, sends, batch,
-                          sizeof(T)));
+         pack_kernel_time(comm.options().device,
+                          rp.from()[static_cast<std::size_t>(me)], sends,
+                          batch, elem_bytes));
   if (obs::RunTrace* run = comm.trace_run())
     run->metrics.observe("reshape/fanout", static_cast<double>(sends.size()));
 }
 
-/// Unpack half: scatters the received regions (laid out as pack_sends
-/// lays them out) into the `batch` bricks `out` and charges the unpack
-/// kernel.
-template <typename T>
-void unpack_recvs(smpi::Comm& comm, const ReshapePlan& rp, int batch,
-                  const T* recvbuf, T* out, Trace* trace) {
+/// Charges the matching unpack kernel, priced like charge_pack().
+void charge_unpack(smpi::Comm& comm, const ReshapePlan& rp, int batch,
+                   std::size_t elem_bytes, Trace* trace) {
   const int me = comm.rank();
-  const Box3& to = rp.to()[static_cast<std::size_t>(me)];
-  const std::vector<Transfer>& recvs = rp.recvs(me);
-  idx_t off = 0;
-  for (const Transfer& t : recvs) {
-    const idx_t cnt = t.region.count();
-    for (int b = 0; b < batch; ++b)
-      unpack_box_t(recvbuf + off + static_cast<idx_t>(b) * cnt, to, t.region,
-                   out + static_cast<idx_t>(b) * to.count());
-    off += cnt * batch;
-  }
   charge(comm, trace, obs::Category::Unpack, "unpack",
-         pack_kernel_time(comm.options().device, to, recvs, batch,
-                          sizeof(T)));
+         pack_kernel_time(comm.options().device,
+                          rp.to()[static_cast<std::size_t>(me)],
+                          rp.recvs(me), batch, elem_bytes));
 }
 
 }  // namespace
@@ -91,51 +112,26 @@ void unpack_recvs(smpi::Comm& comm, const ReshapePlan& rp, int batch,
 template <typename T>
 void packed_reshape(smpi::Comm& comm, const ReshapePlan& rp, int batch,
                     const T* in, T* out, net::CollectiveAlg alg,
-                    std::vector<T>& sendbuf, std::vector<T>& recvbuf,
                     Trace* trace) {
-  const int me = comm.rank();
-  const auto R = static_cast<std::size_t>(comm.size());
-  pack_sends(comm, rp, batch, in, sendbuf, trace);
-
-  // Byte counts and displacements per peer, in pack order.
-  std::vector<std::size_t> scounts(R, 0), sdispls(R, 0), rcounts(R, 0),
-      rdispls(R, 0);
-  auto layout = [batch](const std::vector<Transfer>& transfers,
-                        std::vector<std::size_t>& counts,
-                        std::vector<std::size_t>& displs) {
-    std::size_t off = 0;
-    for (const Transfer& t : transfers) {
-      const auto peer = static_cast<std::size_t>(t.peer);
-      counts[peer] = static_cast<std::size_t>(t.region.count() * batch) *
-                     sizeof(T);
-      displs[peer] = off;
-      off += counts[peer];
-    }
-  };
-  layout(rp.sends(me), scounts, sdispls);
-  layout(rp.recvs(me), rcounts, rdispls);
-
-  recvbuf.resize(static_cast<std::size_t>(rp.max_recv_elements(me) * batch));
+  const PeerTypes types = peer_types<T>(rp, comm.rank(), batch);
+  charge_pack(comm, rp, batch, sizeof(T), trace);
   const double t0 = comm.vtime();
-  comm.alltoallv(sendbuf.data(), scounts, sdispls, recvbuf.data(), rcounts,
-                 rdispls, smpi::MemSpace::Device, alg);
+  comm.alltoallw(in, types.send, out, types.recv, smpi::MemSpace::Device,
+                 alg);
   if (trace != nullptr)
     trace->add(obs::Category::Exchange,
                alg == net::CollectiveAlg::Alltoall ? "MPI_Alltoall"
                                                    : "MPI_Alltoallv",
                comm.vtime() - t0);
-  unpack_recvs(comm, rp, batch, recvbuf.data(), out, trace);
+  charge_unpack(comm, rp, batch, sizeof(T), trace);
 }
 
 template void packed_reshape<cplx>(smpi::Comm&, const ReshapePlan&, int,
                                    const cplx*, cplx*, net::CollectiveAlg,
-                                   std::vector<cplx>&, std::vector<cplx>&,
                                    Trace*);
 template void packed_reshape<double>(smpi::Comm&, const ReshapePlan&, int,
                                      const double*, double*,
-                                     net::CollectiveAlg,
-                                     std::vector<double>&,
-                                     std::vector<double>&, Trace*);
+                                     net::CollectiveAlg, Trace*);
 
 Plan3D::Plan3D(smpi::Comm& comm, const std::array<int, 3>& n,
                const Box3& inbox, const Box3& outbox, const PlanOptions& opt)
@@ -167,10 +163,7 @@ void Plan3D::execute(const cplx* in, cplx* out, dft::Direction dir) {
   const bool overlap = batch > 1 && plan_.options.overlap_batches &&
                        !plan_.stages.empty();
   const double entry = comm_.vtime();
-  work_.assign(static_cast<std::size_t>(input_elements()), cplx{});
-  if (input_elements() > 0)
-    std::memcpy(work_.data(), in,
-                static_cast<std::size_t>(input_elements()) * sizeof(cplx));
+  work_.assign(in, in + input_elements());
 
   obs::RunTrace* run = comm_.trace_run();
   const int wrank = comm_.world_rank();
@@ -264,12 +257,10 @@ void Plan3D::overlap_settle(double entry) {
 void Plan3D::run_reshape_collective(const Stage& stage) {
   const ReshapePlan& rp = stage.reshape;
   const int batch = plan_.options.batch;
-  work2_.assign(
-      static_cast<std::size_t>(
-          rp.to()[static_cast<std::size_t>(comm_.rank())].count() * batch),
-      cplx{});
+  work2_.resize(static_cast<std::size_t>(
+      rp.to()[static_cast<std::size_t>(comm_.rank())].count() * batch));
   packed_reshape(comm_, rp, batch, work_.data(), work2_.data(),
-                 to_alg(plan_.options.backend), sendbuf_, recvbuf_, &trace_);
+                 to_alg(plan_.options.backend), &trace_);
   work_.swap(work2_);
 }
 
@@ -278,35 +269,16 @@ void Plan3D::run_reshape_datatype(const Stage& stage) {
   // strided regions of one brick directly, so a batch is `batch` calls
   // (the datatype rules of stage_kernels()).
   const ReshapePlan& rp = stage.reshape;
-  const int R = comm_.size();
   const int me = comm_.rank();
   const int batch = plan_.options.batch;
-  const Box3& from = rp.from()[static_cast<std::size_t>(me)];
-  const Box3& to = rp.to()[static_cast<std::size_t>(me)];
-
-  std::vector<smpi::Subarray> stypes(static_cast<std::size_t>(R)),
-      rtypes(static_cast<std::size_t>(R));
-  auto subarray_of = [](const Box3& local, const Box3& region) {
-    smpi::Subarray s;
-    s.full = {local.size(0), local.size(1), local.size(2)};
-    s.sub = {region.size(0), region.size(1), region.size(2)};
-    s.off = {region.lo[0] - local.lo[0], region.lo[1] - local.lo[1],
-             region.lo[2] - local.lo[2]};
-    s.elem_bytes = sizeof(cplx);
-    return s;
-  };
-  for (const Transfer& t : rp.sends(me))
-    stypes[static_cast<std::size_t>(t.peer)] = subarray_of(from, t.region);
-  for (const Transfer& t : rp.recvs(me))
-    rtypes[static_cast<std::size_t>(t.peer)] = subarray_of(to, t.region);
-
-  work2_.assign(static_cast<std::size_t>(to.count() * batch), cplx{});
+  const idx_t from = rp.from()[static_cast<std::size_t>(me)].count();
+  const idx_t to = rp.to()[static_cast<std::size_t>(me)].count();
+  const PeerTypes types = peer_types<cplx>(rp, me, 1);
+  work2_.resize(static_cast<std::size_t>(to * batch));
   const double t0 = comm_.vtime();
   for (int b = 0; b < batch; ++b)
-    comm_.alltoallw(work_.data() + static_cast<idx_t>(b) * from.count(),
-                    stypes,
-                    work2_.data() + static_cast<idx_t>(b) * to.count(),
-                    rtypes, space_);
+    comm_.alltoallw(work_.data() + b * from, types.send,
+                    work2_.data() + b * to, types.recv, space_);
   trace_.add(obs::Category::Exchange, "MPI_Alltoallw", comm_.vtime() - t0);
   work_.swap(work2_);
 }
@@ -316,56 +288,43 @@ void Plan3D::run_reshape_p2p(const Stage& stage, int tag_base) {
   const int me = comm_.rank();
   const int batch = plan_.options.batch;
   const bool blocking = plan_.options.backend == Backend::P2PBlocking;
-
-  pack_sends(comm_, rp, batch, work_.data(), sendbuf_, &trace_);
+  const PeerTypes types = peer_types<cplx>(rp, me, batch);
+  charge_pack(comm_, rp, batch, sizeof(cplx), &trace_);
 
   // Post receives (MPI_Irecv), then sends; data transport is untimed here
   // -- the whole phase is settled with the congestion-aware model below.
-  recvbuf_.resize(static_cast<std::size_t>(rp.max_recv_elements(me) * batch));
+  // Every block lands straight in its place in the destination bricks.
+  work2_.resize(static_cast<std::size_t>(
+      rp.to()[static_cast<std::size_t>(me)].count() * batch));
   std::vector<smpi::Request> reqs;
-  idx_t roff = 0;
-  idx_t self_off = -1;
-  for (const Transfer& t : rp.recvs(me)) {
-    const idx_t cnt = t.region.count() * batch;
-    if (t.peer == me) {
-      self_off = roff;
-    } else {
-      reqs.push_back(comm_.irecv(recvbuf_.data() + roff,
-                                 static_cast<std::size_t>(cnt) * sizeof(cplx),
+  for (const Transfer& t : rp.recvs(me))
+    if (t.peer != me)
+      reqs.push_back(comm_.irecv(work2_.data(),
+                                 types.recv[static_cast<std::size_t>(t.peer)],
                                  t.peer, tag_base, space_));
-    }
-    roff += cnt;
-  }
   std::vector<std::pair<int, double>> phase_sends;
-  idx_t off = 0;
   for (const Transfer& t : rp.sends(me)) {
-    const idx_t cnt = t.region.count() * batch;
-    const std::size_t bytes = static_cast<std::size_t>(cnt) * sizeof(cplx);
-    phase_sends.push_back({t.peer, static_cast<double>(bytes)});
+    const smpi::Subarray& st = types.send[static_cast<std::size_t>(t.peer)];
+    phase_sends.push_back({t.peer, st.bytes()});
     if (t.peer == me) {
-      PARFFT_ASSERT(self_off >= 0);
-      std::memcpy(recvbuf_.data() + self_off, sendbuf_.data() + off, bytes);
+      smpi::copy_subarray(work_.data(), st, work2_.data(),
+                          types.recv[static_cast<std::size_t>(me)]);
     } else if (blocking) {
-      comm_.send(sendbuf_.data() + off, bytes, t.peer, tag_base, space_,
+      comm_.send(work_.data(), st, t.peer, tag_base, space_,
                  /*timed=*/false);
     } else {
-      (void)comm_.isend(sendbuf_.data() + off, bytes, t.peer, tag_base,
-                        space_, /*timed=*/false);
+      reqs.push_back(comm_.isend(work_.data(), st, t.peer, tag_base, space_,
+                                 /*timed=*/false));
     }
-    off += cnt;
   }
-  // MPI_Waitany loop until every receive landed.
+  // MPI_Waitany until every receive landed and every rendezvous send was
+  // copied out of work_, which the next stage reuses as scratch.
   while (comm_.waitany(reqs) != -1) {
   }
   trace_.add(obs::Category::Exchange, backend_name(plan_.options.backend),
              comm_.settle_phase(phase_sends, to_alg(plan_.options.backend),
                                 space_));
-
-  work2_.assign(
-      static_cast<std::size_t>(
-          rp.to()[static_cast<std::size_t>(me)].count() * batch),
-      cplx{});
-  unpack_recvs(comm_, rp, batch, recvbuf_.data(), work2_.data(), &trace_);
+  charge_unpack(comm_, rp, batch, sizeof(cplx), &trace_);
   work_.swap(work2_);
 }
 

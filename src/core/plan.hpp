@@ -81,7 +81,7 @@ class Plan3D {
   smpi::MemSpace space_ = smpi::MemSpace::Device;
   Trace trace_;
   // Work buffers: batch-major local bricks of the current layout.
-  std::vector<cplx> work_, work2_, sendbuf_, recvbuf_;
+  std::vector<cplx> work_, work2_;
   /// The pipelined batch time, priced by the first overlapped execute.
   std::optional<double> overlap_time_;
   int tag_counter_ = 100;
@@ -98,19 +98,20 @@ std::vector<Box3> allgather_boxes(smpi::Comm& comm, const Box3& mine);
 void charge(smpi::Comm& comm, Trace* trace, obs::Category cat,
             const char* name, double t, std::vector<obs::SpanArg> args = {});
 
-/// Algorithm 1's packed reshape on this rank: packs each region this rank
-/// sends under `rp` (ascending peer, batch-major within a region) out of
-/// `batch` local bricks `in` into `sendbuf`, exchanges with
-/// Comm::alltoallv over device memory under `alg`, and unpacks into the
-/// `batch` bricks `out` (not cleared first). Both kernels are charged
-/// with pack_kernel_time; the pack, the exchange and the unpack are
-/// appended to `trace` when it is non-null. With tracing on,
-/// `reshape/fanout` is recorded. Collective. Instantiated for cplx and
-/// double.
+/// Algorithm 1's packed reshape on this rank, moving each block once: one
+/// exchange over device memory, priced under `alg` (Alltoall or
+/// Alltoallv), in which every rank copies the regions it receives under
+/// `rp` straight from the senders' `batch` bricks `in` into its own
+/// `batch` bricks `out` (Comm::alltoallw over subarrays spanning the
+/// batch). The receive regions tile `out`, so it is not cleared first.
+/// The pack and unpack kernels are charged with pack_kernel_time, as the
+/// GPU runs them, but not performed on the host; the pack, the exchange
+/// and the unpack are appended to `trace` when it is non-null. With
+/// tracing on, `reshape/fanout` is recorded. Collective. Instantiated for
+/// cplx and double.
 template <typename T>
 void packed_reshape(smpi::Comm& comm, const ReshapePlan& rp, int batch,
                     const T* in, T* out, net::CollectiveAlg alg,
-                    std::vector<T>& sendbuf, std::vector<T>& recvbuf,
                     Trace* trace);
 
 }  // namespace parfft::core

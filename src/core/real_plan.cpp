@@ -76,12 +76,10 @@ void RealPlan3D::exchange_real(const ReshapePlan& rp, const double* in,
   const net::CollectiveAlg alg = opt_.backend == Backend::Alltoall
                                      ? net::CollectiveAlg::Alltoall
                                      : net::CollectiveAlg::Alltoallv;
-  std::vector<double> sendbuf, recvbuf;
-  packed_reshape(comm_, rp, 1, in, out, alg, sendbuf, recvbuf, &trace_);
+  packed_reshape(comm_, rp, 1, in, out, alg, &trace_);
 }
 
 void RealPlan3D::forward(const double* in, cplx* out) {
-  std::fill(rwork_.begin(), rwork_.end(), 0.0);
   exchange_real(real_fwd_, in, rwork_.data());
 
   // Local r2c along the full axis 2 of the z-pencil.

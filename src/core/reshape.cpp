@@ -152,6 +152,20 @@ const std::vector<Transfer>& ReshapePlan::recvs(int r) const {
   return recvs_[static_cast<std::size_t>(r)];
 }
 
+bool ReshapePlan::recvs_tile(int r) const {
+  const Box3& to = to_[static_cast<std::size_t>(r)];
+  const std::vector<Transfer>& in = recvs(r);
+  idx_t cells = 0;
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    const Box3& region = in[i].region;
+    if (!(intersect(to, region) == region)) return false;
+    for (std::size_t j = 0; j < i; ++j)
+      if (!intersect(region, in[j].region).empty()) return false;
+    cells += region.count();
+  }
+  return cells == to.count();
+}
+
 bool ReshapePlan::is_identity() const {
   for (int r = 0; r < nranks(); ++r)
     if (!(from_[static_cast<std::size_t>(r)] == to_[static_cast<std::size_t>(r)]))

@@ -37,6 +37,11 @@ class ReshapePlan {
   /// Transfers rank `r` receives, ascending by peer (self included).
   const std::vector<Transfer>& recvs(int r) const;
 
+  /// True when the regions rank `r` receives lie in its destination box,
+  /// are pairwise disjoint and cover it: a reshape then writes every
+  /// element of the destination exactly once.
+  bool recvs_tile(int r) const;
+
   /// True when every rank keeps exactly its own data (no communication).
   bool is_identity() const;
 

@@ -39,10 +39,9 @@ void distributed_reshape(smpi::Comm& comm, const Box3& from, const Box3& to,
   const auto from_all = allgather_boxes(comm, from);
   const auto to_all = allgather_boxes(comm, to);
   const ReshapePlan rp = ReshapePlan::create(from_all, to_all);
-  out.assign(static_cast<std::size_t>(to.count()), cplx{});
-  std::vector<cplx> sendbuf, recvbuf;
-  packed_reshape(comm, rp, 1, in.data(), out.data(), to_alg(backend), sendbuf,
-                 recvbuf, nullptr);
+  out.resize(static_cast<std::size_t>(to.count()));
+  packed_reshape(comm, rp, 1, in.data(), out.data(), to_alg(backend),
+                 nullptr);
 }
 
 }  // namespace parfft::core

@@ -162,14 +162,41 @@ int grank_of(const std::vector<int>& members, int wrank) {
 
 void Comm::send(const void* buf, std::size_t bytes, int dst, int tag,
                 MemSpace space, bool timed) {
-  // Blocking standard send: buffered internally, so it completes locally;
-  // the extra mpi_overhead models the completion handshake.
-  (void)isend(buf, bytes, dst, tag, space, timed);
+  send(buf, byte_type(bytes), dst, tag, space, timed);
+}
+
+void Comm::send(const void* buf, const Subarray& type, int dst, int tag,
+                MemSpace space, bool timed) {
+  // Blocking standard send: eager, so it completes locally; the extra
+  // mpi_overhead models the completion handshake.
+  (void)post(buf, type, dst, tag, space, timed, /*eager=*/true);
   if (timed) advance(rt_->options().machine.mpi_overhead);
 }
 
 Request Comm::isend(const void* buf, std::size_t bytes, int dst, int tag,
                     MemSpace space, bool timed) {
+  return isend(buf, byte_type(bytes), dst, tag, space, timed);
+}
+
+Request Comm::isend(const void* buf, const Subarray& type, int dst, int tag,
+                    MemSpace space, bool timed) {
+  return post(buf, type, dst, tag, space, timed, /*eager=*/false);
+}
+
+namespace {
+/// The contiguous layout of `t`'s elements: what an eager send buffers
+/// and what a byte receive lands.
+Subarray packed(const Subarray& t) {
+  Subarray p = t;
+  p.full = t.sub;
+  p.off = {0, 0, 0};
+  p.hstride = t.count() * static_cast<idx_t>(t.elem_bytes);
+  return p;
+}
+}  // namespace
+
+Request Comm::post(const void* buf, const Subarray& type, int dst, int tag,
+                   MemSpace space, bool timed, bool eager) {
   PARFFT_CHECK(valid(), "invalid communicator");
   auto& g = rt_->group(group_id_);
   PARFFT_CHECK(dst >= 0 && dst < static_cast<int>(g.members.size()),
@@ -177,11 +204,10 @@ Request Comm::isend(const void* buf, std::size_t bytes, int dst, int tag,
   PARFFT_CHECK(tag >= 0, "tags must be non-negative");
   const int wdst = g.members[static_cast<std::size_t>(dst)];
   auto& me = rt_->ctx(wrank_);
+  const double bytes = type.bytes();
 
   const double transport =
-      timed ? rt_->cost().point_to_point(wrank_, wdst,
-                                         static_cast<double>(bytes),
-                                         mode_for(space))
+      timed ? rt_->cost().point_to_point(wrank_, wdst, bytes, mode_for(space))
             : 0.0;
   PARFFT_PARANOID_ASSERT(transport >= 0);
   Runtime::Message m;
@@ -189,20 +215,30 @@ Request Comm::isend(const void* buf, std::size_t bytes, int dst, int tag,
   m.group_id = group_id_;
   m.tag = tag;
   m.arrival = me.vclock + transport;
-  m.payload.resize(bytes);
-  if (bytes > 0) std::memcpy(m.payload.data(), buf, bytes);
+  Request req;
+  req.kind = Request::Kind::Send;
+  if (eager) {
+    m.type = packed(type);
+    m.payload.resize(static_cast<std::size_t>(bytes));
+    if (!type.empty()) copy_subarray(buf, type, m.payload.data(), m.type);
+    req.done = true;
+  } else {
+    m.type = type;
+    m.data = buf;
+    m.copied = std::make_shared<std::atomic<bool>>(false);
+    req.copied = m.copied;
+  }
   const double post_t0 = me.vclock;
   if (timed) me.vclock += rt_->options().machine.mpi_overhead;
 
   if (obs::RunTrace* run = trace_run(); run && timed) {
     std::vector<obs::SpanArg> args;
     if (run->with_args())
-      args = {{"bytes", static_cast<double>(bytes)},
-              {"dst", static_cast<double>(wdst)}};
+      args = {{"bytes", bytes}, {"dst", static_cast<double>(wdst)}};
     run->tracer.complete(wrank_, obs::Category::Send, "MPI_Isend", post_t0,
                          me.vclock - post_t0, std::move(args));
     run->metrics.counter("rank/" + std::to_string(wrank_) + "/bytes_sent")
-        .add(static_cast<double>(bytes));
+        .add(bytes);
   }
 
   auto& dst_ctx = rt_->ctx(wdst);
@@ -211,10 +247,6 @@ Request Comm::isend(const void* buf, std::size_t bytes, int dst, int tag,
     dst_ctx.inbox.push_back(std::move(m));
   }
   dst_ctx.cv.notify_all();
-
-  Request req;
-  req.kind = Request::Kind::SendDone;
-  req.done = true;
   return req;
 }
 
@@ -227,14 +259,24 @@ Status Comm::recv(void* buf, std::size_t capacity, int src, int tag,
 Status Comm::sendrecv(const void* sbuf, std::size_t sbytes, int dst,
                       int stag, void* rbuf, std::size_t rcapacity, int src,
                       int rtag, MemSpace space) {
-  // Post the receive first, then the (buffered) send: deadlock-free in
-  // exchange patterns, like MPI_Sendrecv.
+  // Post the receive first, then the send: deadlock-free in exchange
+  // patterns, like MPI_Sendrecv. The send completes once the peer's
+  // receive has copied it, which its own wait does.
   Request rreq = irecv(rbuf, rcapacity, src, rtag, space);
-  (void)isend(sbuf, sbytes, dst, stag, space);
-  return wait(rreq);
+  Request sreq = isend(sbuf, sbytes, dst, stag, space);
+  const Status st = wait(rreq);
+  wait(sreq);
+  return st;
 }
 
 Request Comm::irecv(void* buf, std::size_t capacity, int src, int tag,
+                    MemSpace space) {
+  Request req = irecv(buf, byte_type(capacity), src, tag, space);
+  req.any_size = true;
+  return req;
+}
+
+Request Comm::irecv(void* buf, const Subarray& type, int src, int tag,
                     MemSpace space) {
   PARFFT_CHECK(valid(), "invalid communicator");
   PARFFT_CHECK(src == kAnySource ||
@@ -243,7 +285,7 @@ Request Comm::irecv(void* buf, std::size_t capacity, int src, int tag,
   Request req;
   req.kind = Request::Kind::Recv;
   req.buf = buf;
-  req.capacity = capacity;
+  req.type = type;
   req.src = src;
   req.tag = tag;
   req.space = space;
@@ -268,7 +310,7 @@ int Comm::waitany(std::vector<Request>& reqs) {
   for (std::size_t i = 0; i < reqs.size(); ++i) {
     if (reqs[i].kind == Request::Kind::None || reqs[i].consumed) continue;
     all_consumed = false;
-    if (reqs[i].done) {  // e.g. buffered isend
+    if (reqs[i].done) {  // e.g. an eager send
       reqs[i].consumed = true;
       return static_cast<int>(i);
     }
@@ -278,28 +320,53 @@ int Comm::waitany(std::vector<Request>& reqs) {
   const double wait_t0 = me.vclock;
   std::unique_lock lk(me.mu);
   for (;;) {
-    // Try to match any pending receive against the inbox, preserving
-    // per-(source, tag) arrival order (MPI non-overtaking).
     for (std::size_t i = 0; i < reqs.size(); ++i) {
       Request& r = reqs[i];
-      if (r.kind != Request::Kind::Recv || r.done || r.consumed) continue;
+      if (r.kind == Request::Kind::None || r.done || r.consumed) continue;
+      if (r.kind == Request::Kind::Send) {
+        // Completing a send never moves the clock: the receiver's wait
+        // pays for the transfer.
+        if (!r.copied->load(std::memory_order_acquire)) continue;
+        r.done = r.consumed = true;
+        return static_cast<int>(i);
+      }
+      // Match a pending receive against the inbox, preserving
+      // per-(source, tag) arrival order (MPI non-overtaking).
       for (auto it = me.inbox.begin(); it != me.inbox.end(); ++it) {
         if (!msg_matches(g.members, group_id_, r.src, r.tag, it->src_wrank,
                          it->tag, it->group_id))
           continue;
-        PARFFT_CHECK(it->payload.size() <= r.capacity,
-                     "message larger than receive buffer");
-        if (!it->payload.empty())
-          std::memcpy(r.buf, it->payload.data(), it->payload.size());
-        r.status.source = grank_of(g.members, it->src_wrank);
-        r.status.tag = it->tag;
-        r.status.bytes = it->payload.size();
+        if (r.any_size)
+          PARFFT_CHECK(it->type.bytes() <= r.type.bytes(),
+                       "message larger than receive buffer");
+        else
+          PARFFT_CHECK(it->type.same_shape(r.type),
+                       "irecv: matched send/recv datatypes disagree");
+        Runtime::Message m = std::move(*it);
+        me.inbox.erase(it);
+        lk.unlock();
+        // The copy runs outside the inbox lock, straight from the
+        // sender's buffer (or an eager send's copy).
+        const void* from = m.data ? m.data : m.payload.data();
+        if (!m.type.empty())
+          copy_subarray(from, m.type, r.buf,
+                        r.any_size ? packed(m.type) : r.type);
+        if (m.copied) {
+          m.copied->store(true, std::memory_order_release);
+          // Through the sender's lock, so a sender about to wait on its
+          // condition variable cannot miss the wake-up.
+          auto& sender = rt_->ctx(m.src_wrank);
+          { std::lock_guard slk(sender.mu); }
+          sender.cv.notify_all();
+        }
+        r.status.source = grank_of(g.members, m.src_wrank);
+        r.status.tag = m.tag;
+        r.status.bytes = static_cast<std::size_t>(m.type.bytes());
         r.done = true;
         r.consumed = true;
-        PARFFT_PARANOID_ASSERT(it->arrival >= 0);
-        me.vclock = std::max(me.vclock, it->arrival);
+        PARFFT_PARANOID_ASSERT(m.arrival >= 0);
+        me.vclock = std::max(me.vclock, m.arrival);
         PARFFT_PARANOID_ASSERT(me.vclock >= wait_t0);
-        me.inbox.erase(it);
         if (obs::RunTrace* run = trace_run(); run && me.vclock > wait_t0)
           run->tracer.complete(wrank_, obs::Category::Wait, "MPI_Waitany",
                                wait_t0, me.vclock - wait_t0);
@@ -525,26 +592,34 @@ void Comm::scatter(const void* sendbuf, std::size_t bytes, void* recvbuf,
   record_collective(*this, "MPI_Scatter", t0);
 }
 
-namespace {
-/// The datatype engine: copies subarray `st` of src into the `rt` layout
-/// of dst. The exchange leader has checked that the two shapes match.
-void copy_subarray(const void* src, const Subarray& st, void* dst,
-                   const Subarray& rt) {
-  const idx_t eb = static_cast<idx_t>(st.elem_bytes);
-  for (idx_t a = 0; a < st.sub[0]; ++a)
-    for (idx_t b = 0; b < st.sub[1]; ++b) {
-      const idx_t so =
-          (((a + st.off[0]) * st.full[1] + (b + st.off[1])) * st.full[2] +
-           st.off[2]) * eb;
-      const idx_t dofs =
-          (((a + rt.off[0]) * rt.full[1] + (b + rt.off[1])) * rt.full[2] +
-           rt.off[2]) * eb;
-      std::memcpy(static_cast<std::byte*>(dst) + dofs,
-                  static_cast<const std::byte*>(src) + so,
-                  static_cast<std::size_t>(st.sub[2] * eb));
-    }
+Subarray byte_type(std::size_t bytes, std::size_t displ) {
+  const auto n = static_cast<idx_t>(bytes);
+  const auto at = static_cast<idx_t>(displ);
+  return {{1, 1, at + n}, {1, 1, n}, {0, 0, at}, 1};
 }
 
+void copy_subarray(const void* src, const Subarray& st, void* dst,
+                   const Subarray& rt) {
+  PARFFT_ASSERT(st.same_shape(rt));
+  const idx_t eb = static_cast<idx_t>(st.elem_bytes);
+  for (idx_t h = 0; h < st.hcount; ++h) {
+    const auto* s = static_cast<const std::byte*>(src) + h * st.hstride;
+    auto* d = static_cast<std::byte*>(dst) + h * rt.hstride;
+    for (idx_t a = 0; a < st.sub[0]; ++a)
+      for (idx_t b = 0; b < st.sub[1]; ++b) {
+        const idx_t so =
+            (((a + st.off[0]) * st.full[1] + (b + st.off[1])) * st.full[2] +
+             st.off[2]) * eb;
+        const idx_t dofs =
+            (((a + rt.off[0]) * rt.full[1] + (b + rt.off[1])) * rt.full[2] +
+             rt.off[2]) * eb;
+        std::memcpy(d + dofs, s + so,
+                    static_cast<std::size_t>(st.sub[2] * eb));
+      }
+  }
+}
+
+namespace {
 /// A rank's send row for `types`: one (peer, bytes) entry per non-empty
 /// datatype, in peer order.
 std::vector<std::pair<int, double>> row_of(const std::vector<Subarray>& types) {
@@ -595,12 +670,8 @@ double Comm::exchange(const SendRow& row, net::CollectiveAlg alg,
           for (std::size_t j = 0; j < G; ++j) {
             const Subarray& st = at(j)->blocks->stypes[i];
             const Subarray& rt = to->rtypes[j];
-            PARFFT_CHECK(st.empty() ? rt.empty()
-                                    : st.sub == rt.sub &&
-                                          st.elem_bytes == rt.elem_bytes,
-                         std::string(alg == net::CollectiveAlg::Alltoallw
-                                         ? "alltoallw"
-                                         : "alltoallv") +
+            PARFFT_CHECK(st.empty() ? rt.empty() : st.same_shape(rt),
+                         std::string(to->call) +
                              ": matched send/recv datatypes disagree");
           }
         }
@@ -648,32 +719,28 @@ void Comm::alltoallv(const void* sbuf, const std::vector<std::size_t>& scounts,
   PARFFT_CHECK(alg == net::CollectiveAlg::Alltoall ||
                    alg == net::CollectiveAlg::Alltoallv,
                "alltoallv supports the Alltoall/Alltoallv cost models");
-  // Each block is the one-dimensional case of a subarray: `count` bytes
-  // at byte offset `displ`.
-  auto byte_types = [G](const std::vector<std::size_t>& counts,
-                        const std::vector<std::size_t>& displs) {
-    std::vector<Subarray> types(G);
-    for (std::size_t j = 0; j < G; ++j) {
-      const auto n = static_cast<idx_t>(counts[j]);
-      const auto at = static_cast<idx_t>(displs[j]);
-      types[j] = {{1, 1, at + n}, {1, 1, n}, {0, 0, at}, 1};
-    }
-    return types;
-  };
-  const std::vector<Subarray> stypes = byte_types(scounts, sdispls);
-  const std::vector<Subarray> rtypes = byte_types(rcounts, rdispls);
-  const Blocks blocks{sbuf, stypes, rbuf, rtypes};
+  std::vector<Subarray> stypes(G), rtypes(G);
+  for (std::size_t j = 0; j < G; ++j) {
+    stypes[j] = byte_type(scounts[j], sdispls[j]);
+    rtypes[j] = byte_type(rcounts[j], rdispls[j]);
+  }
+  const Blocks blocks{"alltoallv", sbuf, stypes, rbuf, rtypes};
   exchange(row_of(stypes), alg, space, &blocks);
 }
 
 void Comm::alltoallw(const void* sbuf, const std::vector<Subarray>& stypes,
                      void* rbuf, const std::vector<Subarray>& rtypes,
-                     MemSpace space) {
+                     MemSpace space, net::CollectiveAlg alg) {
   const std::size_t G = static_cast<std::size_t>(size());
   PARFFT_CHECK(stypes.size() == G && rtypes.size() == G,
                "datatype arrays must match communicator size");
-  const Blocks blocks{sbuf, stypes, rbuf, rtypes};
-  exchange(row_of(stypes), net::CollectiveAlg::Alltoallw, space, &blocks);
+  PARFFT_CHECK(alg == net::CollectiveAlg::Alltoall ||
+                   alg == net::CollectiveAlg::Alltoallv ||
+                   alg == net::CollectiveAlg::Alltoallw,
+               "alltoallw supports the Alltoall/Alltoallv/Alltoallw cost "
+               "models");
+  const Blocks blocks{"alltoallw", sbuf, stypes, rbuf, rtypes};
+  exchange(row_of(stypes), alg, space, &blocks);
 }
 
 double Comm::settle_phase(

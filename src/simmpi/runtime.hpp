@@ -49,34 +49,57 @@ struct Status {
 };
 
 /// An MPI-style derived sub-array datatype: a `sub`-shaped block at offset
-/// `off` within a row-major `full`-shaped brick of `elem_bytes` elements.
-/// Used by the Alltoallw path (Algorithm 2 of the paper), where the MPI
-/// datatype engine walks the strided layout instead of the application
-/// packing into contiguous buffers. An Alltoallv block is the
-/// one-dimensional case: `count` bytes at byte offset `displ`.
+/// `off` within a row-major `full`-shaped brick of `elem_bytes` elements,
+/// repeated `hcount` times `hstride` bytes apart (MPI_Type_create_hvector
+/// over the subarray; a batch of bricks is one datatype). Collectives and
+/// point-to-point messages both take them, so the runtime's datatype
+/// engine (copy_subarray) walks the strided layouts instead of the
+/// application packing into contiguous buffers: Algorithm 2 of the paper.
+/// A byte message is the one-dimensional case (byte_type).
 struct Subarray {
   std::array<idx_t, 3> full{1, 1, 1};
   std::array<idx_t, 3> sub{0, 0, 0};
   std::array<idx_t, 3> off{0, 0, 0};
   std::size_t elem_bytes = sizeof(cplx);
+  idx_t hcount = 1;
+  idx_t hstride = 0;  ///< bytes between consecutive copies
 
+  /// Elements of one copy.
   idx_t count() const { return sub[0] * sub[1] * sub[2]; }
   double bytes() const {
-    return static_cast<double>(count()) * static_cast<double>(elem_bytes);
+    return static_cast<double>(count()) * static_cast<double>(elem_bytes) *
+           static_cast<double>(hcount);
   }
-  bool empty() const { return count() == 0; }
+  bool empty() const { return count() == 0 || hcount == 0; }
+  /// Same shape, element size and count (what a matched pair must share).
+  bool same_shape(const Subarray& o) const {
+    return sub == o.sub && elem_bytes == o.elem_bytes && hcount == o.hcount;
+  }
 };
+
+/// `bytes` contiguous bytes at byte offset `displ`.
+Subarray byte_type(std::size_t bytes, std::size_t displ = 0);
+
+/// The datatype engine: copies subarray `st` of `src` into the `rt` layout
+/// of `dst`; the two must have the same shape.
+void copy_subarray(const void* src, const Subarray& st, void* dst,
+                   const Subarray& rt);
 
 /// Handle for a non-blocking operation.
 struct Request {
-  enum class Kind { None, SendDone, Recv };
+  enum class Kind { None, Send, Recv };
   Kind kind = Kind::None;
   // Receive parameters (valid while kind == Recv and !done).
   void* buf = nullptr;
-  std::size_t capacity = 0;
-  int src = kAnySource;  ///< group rank or kAnySource
+  Subarray type;          ///< the receive datatype
+  bool any_size = false;  ///< byte receive: any message up to type.bytes()
+  int src = kAnySource;   ///< group rank or kAnySource
   int tag = kAnyTag;
   MemSpace space = MemSpace::Host;
+  /// A rendezvous send: set by the matched receiver once it has copied
+  /// the block. Shared with the message, so a discarded request leaves
+  /// nothing dangling.
+  std::shared_ptr<const std::atomic<bool>> copied;
   bool done = false;
   bool consumed = false;
   Status status;
@@ -120,20 +143,33 @@ class Comm {
   obs::RunTrace* trace_run() const;
 
   // --- Point-to-point ----------------------------------------------------
-  /// Blocking standard send (buffered internally; completes locally).
+  /// Blocking standard send, eager: the block is copied into a runtime
+  /// buffer, so it completes locally whether or not a receive is posted.
   /// `timed = false` moves the data without charging transport time on the
   /// virtual clock -- used by phase-level code that settles the whole
   /// phase's cost afterwards via settle_phase().
   void send(const void* buf, std::size_t bytes, int dst, int tag,
             MemSpace space = MemSpace::Host, bool timed = true);
-  /// Non-blocking send; with internal buffering it completes immediately.
+  void send(const void* buf, const Subarray& type, int dst, int tag,
+            MemSpace space = MemSpace::Host, bool timed = true);
+  /// Non-blocking send, rendezvous: publishes (buf, type) to the
+  /// destination, whose matched receive copies straight out of `buf`. The
+  /// request completes once that copy is done; `buf` must stay unchanged
+  /// until then (as MPI requires). Waiting on it never moves the clock.
   Request isend(const void* buf, std::size_t bytes, int dst, int tag,
+                MemSpace space = MemSpace::Host, bool timed = true);
+  Request isend(const void* buf, const Subarray& type, int dst, int tag,
                 MemSpace space = MemSpace::Host, bool timed = true);
   /// Blocking receive. `src`/`tag` accept wildcards.
   Status recv(void* buf, std::size_t capacity, int src, int tag,
               MemSpace space = MemSpace::Host);
-  /// Non-blocking receive.
+  /// Non-blocking receive of any message of up to `capacity` bytes, which
+  /// lands contiguously at `buf`.
   Request irecv(void* buf, std::size_t capacity, int src, int tag,
+                MemSpace space = MemSpace::Host);
+  /// Non-blocking receive into the `type` layout of `buf`; the matched
+  /// message must have the same shape (else the wait throws).
+  Request irecv(void* buf, const Subarray& type, int src, int tag,
                 MemSpace space = MemSpace::Host);
   /// Combined send + receive (MPI_Sendrecv; Table I lists it for AccFFT).
   Status sendrecv(const void* sbuf, std::size_t sbytes, int dst, int stag,
@@ -184,10 +220,13 @@ class Comm {
   /// packing; the runtime's datatype engine walks the strided layouts.
   /// stypes/rtypes have one entry per peer; empty subarrays mean no
   /// traffic with that peer. Under SpectrumMPI this routine is not
-  /// GPU-aware (device buffers are staged), per the paper.
+  /// GPU-aware (device buffers are staged), per the paper. `alg` selects
+  /// the cost model as in alltoallv: core's packed reshape moves its
+  /// blocks here but prices the Alltoall(v) its GPU pack kernels feed.
   void alltoallw(const void* sbuf, const std::vector<Subarray>& stypes,
                  void* rbuf, const std::vector<Subarray>& rtypes,
-                 MemSpace space = MemSpace::Host);
+                 MemSpace space = MemSpace::Host,
+                 net::CollectiveAlg alg = net::CollectiveAlg::Alltoallw);
 
   /// Collective virtual-time settlement for a phase whose *data* was moved
   /// with point-to-point calls: recomputes the phase cost with the
@@ -241,6 +280,10 @@ class Comm {
       : rt_(rt), group_id_(group_id), grank_(grank), wrank_(wrank) {}
 
   net::TransferMode mode_for(MemSpace space) const;
+  /// Posts a message to `dst`; `eager` copies the block into the message,
+  /// otherwise the receiver copies it from `buf` (rendezvous).
+  Request post(const void* buf, const Subarray& type, int dst, int tag,
+               MemSpace space, bool timed, bool eager);
 
   /// (dst group rank, bytes) for each block a rank sends.
   using SendRow = std::vector<std::pair<int, double>>;
@@ -248,6 +291,7 @@ class Comm {
   /// peer on each side (an alltoallv block is a one-dimensional byte
   /// subarray).
   struct Blocks {
+    const char* call;  ///< the routine, for error messages
     const void* sbuf;
     const std::vector<Subarray>& stypes;
     void* rbuf;
@@ -300,7 +344,11 @@ class Runtime {
     int group_id = 0;
     int tag = 0;
     double arrival = 0;
-    std::vector<std::byte> payload;
+    Subarray type;
+    const void* data = nullptr;      ///< the sender's buffer (rendezvous)
+    std::vector<std::byte> payload;  ///< the packed copy (eager send)
+    /// Rendezvous: set once the receiver has copied from `data`.
+    std::shared_ptr<std::atomic<bool>> copied;
   };
   struct RankCtx {
     std::mutex mu;

@@ -5,6 +5,8 @@
 // shrinking and brick-shaped input/output grids.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "common/random.hpp"
 #include "core/pack.hpp"
 #include "core/plan.hpp"
@@ -264,6 +266,67 @@ TEST(DistFftFeatures, TraceRecordsAllKernelCategories) {
     // through the trace).
     EXPECT_NEAR(elapsed, k.total(), 1e-6 * k.total());
   });
+}
+
+/// Every rank's forward output, then its backward output of that forward
+/// output, for one backend.
+std::vector<std::vector<cplx>> forward_backward(Backend backend, int batch,
+                                                bool contiguous) {
+  const std::array<int, 3> n = {12, 10, 9};
+  const idx_t N = static_cast<idx_t>(n[0]) * n[1] * n[2];
+  Rng rng(4321);
+  const std::vector<cplx> global =
+      rng.complex_vector(static_cast<std::size_t>(N * batch));
+  smpi::RuntimeOptions ro;
+  ro.nranks = 6;
+  smpi::Runtime rt(ro);
+  std::vector<std::vector<cplx>> out(2 * static_cast<std::size_t>(ro.nranks));
+  rt.run([&](smpi::Comm& c) {
+    const auto boxes = brick_layout(n, c.size());
+    const Box3& box = boxes[static_cast<std::size_t>(c.rank())];
+    PlanOptions opt;
+    opt.decomp = Decomposition::Pencil;
+    opt.backend = backend;
+    opt.contiguous_fft = contiguous;
+    opt.batch = batch;
+    opt.scaling = Scaling::Full;
+    Plan3D plan(c, n, box, box, opt);
+    std::vector<cplx> in(static_cast<std::size_t>(plan.input_elements()));
+    for (int b = 0; b < batch; ++b)
+      pack_box(global.data() + b * N, world_box(n), box,
+               in.data() + b * box.count());
+    std::vector<cplx>& fwd = out[static_cast<std::size_t>(2 * c.rank())];
+    std::vector<cplx>& bwd = out[static_cast<std::size_t>(2 * c.rank() + 1)];
+    fwd.resize(in.size());
+    bwd.resize(in.size());
+    plan.execute(in.data(), fwd.data(), dft::Direction::Forward);
+    plan.execute(fwd.data(), bwd.data(), dft::Direction::Backward);
+  });
+  return out;
+}
+
+TEST(DistFftFeatures, BackendsAgreeBitForBit) {
+  // Every backend moves the same blocks into the same places, so on an
+  // uneven layout (6 ranks, 12x10x9) the output arrays are byte-identical,
+  // forward and backward, batched or not, strided or contiguous FFTs.
+  for (int batch : {1, 3})
+    for (bool contiguous : {false, true}) {
+      const auto want = forward_backward(Backend::Alltoallv, batch, contiguous);
+      for (Backend backend : {Backend::Alltoall, Backend::Alltoallw,
+                              Backend::P2PBlocking, Backend::P2PNonBlocking}) {
+        const auto got = forward_backward(backend, batch, contiguous);
+        ASSERT_EQ(got.size(), want.size());
+        for (std::size_t i = 0; i < want.size(); ++i) {
+          ASSERT_EQ(got[i].size(), want[i].size());
+          EXPECT_EQ(std::memcmp(got[i].data(), want[i].data(),
+                                want[i].size() * sizeof(cplx)),
+                    0)
+              << backend_name(backend) << " batch " << batch
+              << (contiguous ? " contiguous" : " strided") << " rank "
+              << i / 2 << (i % 2 == 0 ? " forward" : " backward");
+        }
+      }
+    }
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 
 #include "cluster/cluster.hpp"
 #include "common/paranoid.hpp"
+#include "core/spectral.hpp"
 #include "netsim/flowsim.hpp"
 #include "obs/tracer.hpp"
 #include "serve/server.hpp"
@@ -396,6 +397,29 @@ TEST(ParanoidViolations, NegativeCollectiveExitCostThrows) {
                }),
                Error);
   EXPECT_NO_THROW(rt.run([](smpi::Comm& c) { c.barrier(); }));
+  set_paranoid(prev);
+}
+
+TEST(ParanoidViolations, ReshapeThatLeavesAHoleThrows) {
+  // A reshape writes its destination without clearing it first, so the
+  // regions a rank receives must tile its destination box. Here the
+  // source layout misses the plane x = 3 of rank 1's destination.
+  const bool prev = set_paranoid(true);
+  smpi::RuntimeOptions ro;
+  ro.nranks = 2;
+  smpi::Runtime rt(ro);
+  EXPECT_THROW(
+      rt.run([](smpi::Comm& c) {
+        const core::Box3 from = c.rank() == 0
+                                    ? core::Box3{{0, 0, 0}, {1, 3, 3}}
+                                    : core::Box3{{2, 0, 0}, {2, 3, 3}};
+        const core::Box3 to = c.rank() == 0 ? core::Box3{{0, 0, 0}, {1, 3, 3}}
+                                            : core::Box3{{2, 0, 0}, {3, 3, 3}};
+        std::vector<cplx> in(static_cast<std::size_t>(from.count())), out;
+        core::distributed_reshape(c, from, to, in, out,
+                                  core::Backend::Alltoallv);
+      }),
+      Error);
   set_paranoid(prev);
 }
 

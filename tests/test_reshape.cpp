@@ -182,10 +182,27 @@ TEST(ReshapePlan, RandomLayoutsProperty) {
     const auto plan = ReshapePlan::create(from, to);
 
     idx_t sent = 0;
-    for (int r = 0; r < R; ++r)
+    for (int r = 0; r < R; ++r) {
       for (const Transfer& t : plan.sends(r)) sent += t.region.count();
+      EXPECT_TRUE(plan.recvs_tile(r)) << "trial " << trial << " rank " << r;
+    }
     EXPECT_EQ(sent, world_box(n).count()) << "trial " << trial;
   }
+}
+
+TEST(ReshapePlan, RecvsTileDetectsHolesAndOverlaps) {
+  // Destination: two x-halves of a 4x4x4 grid.
+  const Box3 lo{{0, 0, 0}, {1, 3, 3}}, hi{{2, 0, 0}, {3, 3, 3}};
+  // A source layout that misses the plane x = 3 leaves a hole in `hi`.
+  const Box3 hole{{2, 0, 0}, {2, 3, 3}};
+  const auto holed = ReshapePlan::create({lo, hole}, {lo, hi});
+  EXPECT_TRUE(holed.recvs_tile(0));
+  EXPECT_FALSE(holed.recvs_tile(1));
+  // Two sources that both hold the plane x = 2 overlap in `hi`.
+  const Box3 wide{{0, 0, 0}, {2, 3, 3}};
+  const auto overlapped = ReshapePlan::create({wide, hi}, {lo, hi});
+  EXPECT_TRUE(overlapped.recvs_tile(0));
+  EXPECT_FALSE(overlapped.recvs_tile(1));
 }
 
 TEST(ReshapePlan, SendMatrixScalesWithBatch) {

@@ -233,6 +233,176 @@ TEST(P2P, AdvancesVirtualClock) {
   });
 }
 
+TEST(P2P, TimedClocksFollowTheCostModel) {
+  // A timed send charges its posting overhead (plus the completion
+  // handshake when blocking); the receiver's clock becomes the message's
+  // arrival, the sender's post clock plus its point-to-point time.
+  Runtime rt(small_opts(8));
+  const double ovh = rt.options().machine.mpi_overhead;
+  const std::size_t bytes = 3 << 20;
+  const auto& cost = rt.cost();
+  auto p2p = [&cost, bytes](int src, int dst) {
+    return cost.point_to_point(src, dst, static_cast<double>(bytes),
+                               net::TransferMode::GpuAware);
+  };
+  std::vector<double> clock(8);
+  rt.run([&](Comm& c) {
+    std::vector<std::byte> buf(bytes);
+    switch (c.rank()) {
+      case 0: c.send(buf.data(), bytes, 1, 0, MemSpace::Device); break;
+      case 1: c.recv(buf.data(), bytes, 0, 0, MemSpace::Device); break;
+      case 2: {
+        Request r = c.isend(buf.data(), bytes, 6, 0, MemSpace::Device);
+        c.wait(r);  // completing a send never moves the clock
+        break;
+      }
+      case 6: c.recv(buf.data(), bytes, 2, 0, MemSpace::Device); break;
+      case 3:
+      case 4: {
+        std::vector<std::byte> got(bytes);
+        const int other = 7 - c.rank();
+        c.sendrecv(buf.data(), bytes, other, 1, got.data(), bytes, other, 1);
+        break;
+      }
+      default: break;
+    }
+    clock[static_cast<std::size_t>(c.rank())] = c.vtime();
+  });
+  auto host = [&cost, bytes](int src, int dst) {
+    return cost.point_to_point(src, dst, static_cast<double>(bytes),
+                               net::TransferMode::Host);
+  };
+  EXPECT_EQ(clock[0], ovh + ovh);
+  EXPECT_EQ(clock[1], p2p(0, 1));
+  EXPECT_EQ(clock[2], ovh);
+  EXPECT_EQ(clock[6], p2p(2, 6));
+  EXPECT_EQ(clock[3], std::max(ovh, host(4, 3)));
+  EXPECT_EQ(clock[4], std::max(ovh, host(3, 4)));
+  EXPECT_EQ(clock[5], 0.0);
+}
+
+TEST(P2P, RendezvousSendCompletesOnceReceived) {
+  Runtime rt(small_opts(2));
+  rt.run([](Comm& c) {
+    std::vector<double> v(6);
+    if (c.rank() == 0) {
+      std::iota(v.begin(), v.end(), 1.0);
+      Request r = c.isend(v.data(), v.size() * sizeof(double), 1, 4);
+      ASSERT_TRUE(r.copied);
+      EXPECT_FALSE(r.copied->load());
+      c.barrier();  // rank 1 posts its receive only after this
+      c.barrier();
+      EXPECT_TRUE(r.copied->load());
+      const double t = c.vtime();
+      c.wait(r);
+      EXPECT_TRUE(r.done);
+      EXPECT_EQ(c.vtime(), t);
+    } else {
+      c.barrier();
+      c.recv(v.data(), v.size() * sizeof(double), 0, 4);
+      EXPECT_EQ(v, (std::vector<double>{1, 2, 3, 4, 5, 6}));
+      c.barrier();
+    }
+  });
+}
+
+TEST(P2P, TypedMessagesLandInPlaceFromAnySource) {
+  // Ranks 1 and 2 each send a strided 2x1x2 block of two 2x3x4 bricks
+  // (hcount 2); rank 0 receives both with kAnySource into the column
+  // `k` of two 2x2x2 bricks, where k is the request's index.
+  Runtime rt(small_opts(3));
+  rt.run([](Comm& c) {
+    const std::size_t eb = sizeof(double);
+    auto value = [](int src, int brick, idx_t a, idx_t b, idx_t k) {
+      return src * 1000 + brick * 100 +
+             static_cast<double>((a * 3 + b) * 4 + k);
+    };
+    if (c.rank() != 0) {
+      std::vector<double> bricks(48);
+      for (int h = 0; h < 2; ++h)
+        for (idx_t a = 0; a < 2; ++a)
+          for (idx_t b = 0; b < 3; ++b)
+            for (idx_t k = 0; k < 4; ++k)
+              bricks[static_cast<std::size_t>(h * 24 + (a * 3 + b) * 4 + k)] =
+                  value(c.rank(), h, a, b, k);
+      const Subarray st{{2, 3, 4}, {2, 1, 2}, {0, 1, 1}, eb, 2, 24 * eb};
+      Request r = c.isend(bricks.data(), st, 0, 9);
+      c.wait(r);
+      return;
+    }
+    std::vector<double> out(16, -1);
+    std::vector<Request> reqs;
+    for (idx_t k = 0; k < 2; ++k)
+      reqs.push_back(c.irecv(
+          out.data(), Subarray{{2, 2, 2}, {2, 1, 2}, {0, k, 0}, eb, 2, 8 * eb},
+          kAnySource, 9));
+    c.waitall(reqs);
+    for (idx_t k = 0; k < 2; ++k) {
+      const Status& st = reqs[static_cast<std::size_t>(k)].status;
+      EXPECT_EQ(st.bytes, 8 * eb);
+      for (int h = 0; h < 2; ++h)
+        for (idx_t a = 0; a < 2; ++a)
+          for (idx_t j = 0; j < 2; ++j)
+            EXPECT_EQ(out[static_cast<std::size_t>(h * 8 + (a * 2 + k) * 2 + j)],
+                      value(st.source, h, a, 1, 1 + j));
+    }
+    EXPECT_NE(reqs[0].status.source, reqs[1].status.source);
+  });
+}
+
+TEST(P2P, MismatchedTypedShapesThrowNamingTheCall) {
+  Runtime rt(small_opts(2));
+  std::string err;
+  try {
+    rt.run([](Comm& c) {
+      std::vector<double> brick(16);
+      const std::size_t eb = sizeof(double);
+      if (c.rank() == 0) {
+        Request r = c.isend(
+            brick.data(), Subarray{{1, 4, 4}, {1, 2, 4}, {0, 0, 0}, eb}, 1, 0);
+        c.wait(r);
+      } else {
+        Request r = c.irecv(
+            brick.data(), Subarray{{1, 4, 4}, {1, 4, 2}, {0, 0, 0}, eb}, 0, 0);
+        c.wait(r);
+      }
+    });
+  } catch (const Error& e) {
+    err = e.what();
+  }
+  EXPECT_NE(err.find("irecv"), std::string::npos) << err;
+}
+
+TEST(P2P, DiscardedSendRequestIsSafe) {
+  Runtime rt(small_opts(2));
+  rt.run([](Comm& c) {
+    std::vector<int> buf(1000, c.rank() + 1);
+    if (c.rank() == 0) {
+      (void)c.isend(buf.data(), buf.size() * sizeof(int), 1, 0);
+    } else {
+      std::vector<int> got(1000, 0);
+      c.recv(got.data(), got.size() * sizeof(int), 0, 0);
+      EXPECT_EQ(got, std::vector<int>(1000, 1));
+    }
+    c.barrier();  // the send buffer outlives the receive
+  });
+}
+
+TEST(P2P, BlockingSendsBeforeReceivesCompleteInARing) {
+  // Eager send: every rank sends to its right neighbour before anyone
+  // receives, and the ring still completes.
+  Runtime rt(small_opts(5));
+  rt.run([](Comm& c) {
+    const int R = c.size();
+    std::vector<double> mine(256, c.rank());
+    c.send(mine.data(), mine.size() * sizeof(double), (c.rank() + 1) % R, 2);
+    std::vector<double> got(256, -1);
+    c.recv(got.data(), got.size() * sizeof(double), (c.rank() + R - 1) % R,
+           2);
+    EXPECT_EQ(got, std::vector<double>(256, (c.rank() + R - 1) % R));
+  });
+}
+
 TEST(Collectives, BarrierSynchronizesClocks) {
   Runtime rt(small_opts(6));
   rt.run([](Comm& c) {

@@ -64,8 +64,9 @@ TEST(Simulate, AgreesWithThreadedExecution) {
   // Same machine, same plan: the simulator's per-rank clocks equal the
   // threaded runtime's virtual clocks bit for bit, for every backend and
   // both FFT layouts.
-  for (Backend backend : {Backend::Alltoallv, Backend::Alltoall,
-                          Backend::Alltoallw, Backend::P2PNonBlocking}) {
+  for (Backend backend :
+       {Backend::Alltoallv, Backend::Alltoall, Backend::Alltoallw,
+        Backend::P2PBlocking, Backend::P2PNonBlocking}) {
     for (bool contiguous : {false, true}) {
       SimConfig cfg = base_config(12, {16, 16, 16});
       cfg.options.backend = backend;
