@@ -56,6 +56,23 @@ void BM_Fft1DBatchedStrided(benchmark::State& state) {
 }
 BENCHMARK(BM_Fft1DBatchedStrided)->Arg(4)->Arg(32);
 
+/// One block of 8 adjacent lines (input [n][8], idist 1): radix 8 (128),
+/// the generic odd butterfly (125 = 5^3, 243 = 3^5).
+void BM_Fft1DBlock8(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0)), lines = 8;
+  dft::ManyPlan plan(n, {.count = lines, .istride = lines, .idist = 1,
+                         .ostride = lines, .odist = 1});
+  Rng rng(7);
+  auto x = rng.complex_vector(static_cast<std::size_t>(n) * lines);
+  for (auto _ : state) {
+    plan.execute(x.data(), x.data(), dft::Direction::Forward);
+    benchmark::DoNotOptimize(x.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * n * lines);
+}
+BENCHMARK(BM_Fft1DBlock8)->Arg(128)->Arg(125)->Arg(243);
+
 /// Axis 0 of a 128 x 32 x 128 brick: 4096 lines of stride 4096 with
 /// adjacent starts, the strided pipeline stage of fft_exec.
 void BM_FftAxisStrided(benchmark::State& state) {

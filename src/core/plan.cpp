@@ -163,7 +163,19 @@ void Plan3D::execute(const cplx* in, cplx* out, dft::Direction dir) {
   const bool overlap = batch > 1 && plan_.options.overlap_batches &&
                        !plan_.stages.empty();
   const double entry = comm_.vtime();
-  work_.assign(in, in + input_elements());
+  // A reshape at either end moves the data straight from `in` or into
+  // `out`; an FFT stage there works on a copy in work_. With in == out,
+  // the first reshape has finished reading `in` on every rank before it
+  // returns: a collective's members leave only after every reader copied,
+  // and a rendezvous send completes before waitany returns. The last
+  // reshape, writing `out`, is a later stage, so it cannot overlap them.
+  const std::size_t n_stages = plan_.stages.size();
+  auto is_reshape = [this](std::size_t i) {
+    return plan_.stages[i].kind == Stage::Kind::Reshape;
+  };
+  const bool direct_out = n_stages >= 2 && is_reshape(n_stages - 1);
+  if (n_stages == 0 || !is_reshape(0))
+    work_.assign(in, in + input_elements());
 
   obs::RunTrace* run = comm_.trace_run();
   const int wrank = comm_.world_rank();
@@ -181,7 +193,7 @@ void Plan3D::execute(const cplx* in, cplx* out, dft::Direction dir) {
                       comm_.vtime(), std::move(args));
   }
 
-  for (std::size_t i = 0; i < plan_.stages.size(); ++i) {
+  for (std::size_t i = 0; i < n_stages; ++i) {
     const Stage& stage = plan_.stages[i];
     if (stage.kind == Stage::Kind::Fft) {
       run_fft(i, dir);
@@ -190,13 +202,21 @@ void Plan3D::execute(const cplx* in, cplx* out, dft::Direction dir) {
     if (run != nullptr)
       run->tracer.begin(wrank, obs::Category::Reshape, "reshape",
                         comm_.vtime());
+    const bool to_out = direct_out && i == n_stages - 1;
+    const cplx* src = i == 0 ? in : work_.data();
+    if (!to_out)
+      work2_.resize(static_cast<std::size_t>(
+          stage.reshape.to()[static_cast<std::size_t>(comm_.rank())].count() *
+          batch));
+    cplx* dst = to_out ? out : work2_.data();
     if (backend_is_datatype(plan_.options.backend)) {
-      run_reshape_datatype(stage);
+      run_reshape_datatype(stage, src, dst);
     } else if (backend_is_p2p(plan_.options.backend)) {
-      run_reshape_p2p(stage, tag_counter_);
+      run_reshape_p2p(stage, tag_counter_, src, dst);
     } else {
-      run_reshape_collective(stage);
+      run_reshape_collective(stage, src, dst);
     }
+    if (!to_out) work_.swap(work2_);
     if (run != nullptr) run->tracer.end(wrank, comm_.vtime());
     tag_counter_ += 1;
   }
@@ -208,7 +228,8 @@ void Plan3D::execute(const cplx* in, cplx* out, dft::Direction dir) {
   if (dir == dft::Direction::Backward &&
       plan_.options.scaling == Scaling::Full) {
     const double inv = 1.0 / static_cast<double>(plan_.total_elements());
-    for (auto& v : work_) v *= inv;
+    cplx* data = direct_out ? out : work_.data();
+    for (idx_t e = 0; e < output_elements(); ++e) data[e] *= inv;
     const double bytes =
         static_cast<double>(outbox_.count()) * batch * sizeof(cplx);
     charge(comm_, &trace_, obs::Category::Scale, "scale",
@@ -217,6 +238,7 @@ void Plan3D::execute(const cplx* in, cplx* out, dft::Direction dir) {
 
   if (run != nullptr) run->tracer.end(wrank, comm_.vtime());
 
+  if (direct_out) return;
   PARFFT_ASSERT(static_cast<idx_t>(work_.size()) == output_elements());
   if (output_elements() > 0)
     std::memcpy(out, work_.data(),
@@ -254,36 +276,31 @@ void Plan3D::overlap_settle(double entry) {
   });
 }
 
-void Plan3D::run_reshape_collective(const Stage& stage) {
-  const ReshapePlan& rp = stage.reshape;
-  const int batch = plan_.options.batch;
-  work2_.resize(static_cast<std::size_t>(
-      rp.to()[static_cast<std::size_t>(comm_.rank())].count() * batch));
-  packed_reshape(comm_, rp, batch, work_.data(), work2_.data(),
+void Plan3D::run_reshape_collective(const Stage& stage, const cplx* src,
+                                    cplx* dst) {
+  packed_reshape(comm_, stage.reshape, plan_.options.batch, src, dst,
                  to_alg(plan_.options.backend), &trace_);
-  work_.swap(work2_);
 }
 
-void Plan3D::run_reshape_datatype(const Stage& stage) {
+void Plan3D::run_reshape_datatype(const Stage& stage, const cplx* src,
+                                  cplx* dst) {
   // Algorithm 2: no packing; MPI derived sub-array datatypes describe the
   // strided regions of one brick directly, so a batch is `batch` calls
   // (the datatype rules of stage_kernels()).
   const ReshapePlan& rp = stage.reshape;
   const int me = comm_.rank();
-  const int batch = plan_.options.batch;
   const idx_t from = rp.from()[static_cast<std::size_t>(me)].count();
   const idx_t to = rp.to()[static_cast<std::size_t>(me)].count();
   const PeerTypes types = peer_types<cplx>(rp, me, 1);
-  work2_.resize(static_cast<std::size_t>(to * batch));
   const double t0 = comm_.vtime();
-  for (int b = 0; b < batch; ++b)
-    comm_.alltoallw(work_.data() + b * from, types.send,
-                    work2_.data() + b * to, types.recv, space_);
+  for (int b = 0; b < plan_.options.batch; ++b)
+    comm_.alltoallw(src + b * from, types.send, dst + b * to, types.recv,
+                    space_);
   trace_.add(obs::Category::Exchange, "MPI_Alltoallw", comm_.vtime() - t0);
-  work_.swap(work2_);
 }
 
-void Plan3D::run_reshape_p2p(const Stage& stage, int tag_base) {
+void Plan3D::run_reshape_p2p(const Stage& stage, int tag_base,
+                             const cplx* src, cplx* dst) {
   const ReshapePlan& rp = stage.reshape;
   const int me = comm_.rank();
   const int batch = plan_.options.batch;
@@ -294,12 +311,10 @@ void Plan3D::run_reshape_p2p(const Stage& stage, int tag_base) {
   // Post receives (MPI_Irecv), then sends; data transport is untimed here
   // -- the whole phase is settled with the congestion-aware model below.
   // Every block lands straight in its place in the destination bricks.
-  work2_.resize(static_cast<std::size_t>(
-      rp.to()[static_cast<std::size_t>(me)].count() * batch));
   std::vector<smpi::Request> reqs;
   for (const Transfer& t : rp.recvs(me))
     if (t.peer != me)
-      reqs.push_back(comm_.irecv(work2_.data(),
+      reqs.push_back(comm_.irecv(dst,
                                  types.recv[static_cast<std::size_t>(t.peer)],
                                  t.peer, tag_base, space_));
   std::vector<std::pair<int, double>> phase_sends;
@@ -307,25 +322,23 @@ void Plan3D::run_reshape_p2p(const Stage& stage, int tag_base) {
     const smpi::Subarray& st = types.send[static_cast<std::size_t>(t.peer)];
     phase_sends.push_back({t.peer, st.bytes()});
     if (t.peer == me) {
-      smpi::copy_subarray(work_.data(), st, work2_.data(),
+      smpi::copy_subarray(src, st, dst,
                           types.recv[static_cast<std::size_t>(me)]);
     } else if (blocking) {
-      comm_.send(work_.data(), st, t.peer, tag_base, space_,
-                 /*timed=*/false);
+      comm_.send(src, st, t.peer, tag_base, space_, /*timed=*/false);
     } else {
-      reqs.push_back(comm_.isend(work_.data(), st, t.peer, tag_base, space_,
+      reqs.push_back(comm_.isend(src, st, t.peer, tag_base, space_,
                                  /*timed=*/false));
     }
   }
   // MPI_Waitany until every receive landed and every rendezvous send was
-  // copied out of work_, which the next stage reuses as scratch.
+  // copied out of `src`, which the caller may reuse or overwrite next.
   while (comm_.waitany(reqs) != -1) {
   }
   trace_.add(obs::Category::Exchange, backend_name(plan_.options.backend),
              comm_.settle_phase(phase_sends, to_alg(plan_.options.backend),
                                 space_));
   charge_unpack(comm_, rp, batch, sizeof(cplx), &trace_);
-  work_.swap(work2_);
 }
 
 namespace {

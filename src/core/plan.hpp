@@ -39,7 +39,10 @@ class Plan3D {
   /// bricks of the input layout (batch * inbox().count() elements); `out`
   /// receives batch * outbox().count() elements. In-place (in == out) is
   /// allowed when the buffer fits both layouts. Forward is unnormalized;
-  /// Backward applies options.scaling.
+  /// Backward applies options.scaling. A reshape as the first stage reads
+  /// `in` directly, and one as the last of two or more stages writes `out`
+  /// directly (the backward scaling then runs on `out`); an FFT stage at
+  /// either end works on a copy.
   ///
   /// An FFT stage charges this rank's stage_kernels() (core/simulate.hpp),
   /// the kernels the simulator prices. With options.batch > 1 and
@@ -68,9 +71,12 @@ class Plan3D {
   /// Collective: sets every member's clock to the latest of the members'
   /// execute-entry clocks plus the pipelined batch time.
   void overlap_settle(double entry);
-  void run_reshape_collective(const Stage& stage);
-  void run_reshape_datatype(const Stage& stage);
-  void run_reshape_p2p(const Stage& stage, int tag_base);
+  /// Each reshape moves this rank's `batch` bricks from `src` (the stage's
+  /// input layout) into `dst` (its output layout); they must not overlap.
+  void run_reshape_collective(const Stage& stage, const cplx* src, cplx* dst);
+  void run_reshape_datatype(const Stage& stage, const cplx* src, cplx* dst);
+  void run_reshape_p2p(const Stage& stage, int tag_base, const cplx* src,
+                       cplx* dst);
   void run_fft(std::size_t stage, dft::Direction dir);
 
   smpi::Comm& comm_;

@@ -7,18 +7,15 @@ namespace parfft::dft {
 std::vector<Stage> fft_stages(int n) {
   PARFFT_CHECK(n >= 1, "transform length must be positive");
   std::vector<Stage> stages;
-  int p = 4;
-  while (n > 1) {
-    while (n % p != 0) {
-      switch (p) {
-        case 4: p = 2; break;
-        case 2: p = 3; break;
-        default: p += 2; break;
-      }
-      if (p * p > n) p = n;  // remaining value is prime
-    }
+  auto take = [&](int p) {
     n /= p;
     stages.push_back({p, n});
+  };
+  for (int p : {8, 4, 2})
+    while (n % p == 0) take(p);
+  for (int p = 3; n > 1; p += 2) {
+    if (p * p > n) p = n;  // remaining value is prime
+    while (n % p == 0) take(p);
   }
   return stages;
 }

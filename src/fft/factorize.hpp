@@ -12,8 +12,10 @@ struct Stage {
   int p, m;
 };
 
-/// Factorizes n into FFT stages, preferring radix 4, then 2, 3, 5 and
-/// increasing odd factors. The product of all stage radices equals n.
+/// Factorizes n into FFT stages, preferring radix 8, then 4, 2, 3, 5 and
+/// increasing odd factors: every power of two goes to radix-8 stages and
+/// at most one radix-4 or radix-2 stage. The product of all stage radices
+/// equals n.
 std::vector<Stage> fft_stages(int n);
 
 /// Largest prime factor of n (n >= 1; returns 1 for n == 1).

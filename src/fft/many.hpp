@@ -7,7 +7,8 @@
 /// approach) or strided (non-contiguous approach), cf. paper Figs. 6/7/10.
 ///
 /// Every layout takes one path, Plan1D::execute_lines(): blocks of 8
-/// lines run through the Stockham stages interleaved as [n][8].
+/// lines are split into the planes re[n][8] and im[n][8] and run through
+/// the Stockham stages with SIMD lanes across the lines.
 
 #include <array>
 

@@ -8,11 +8,17 @@
 /// of radix p and sub-length L = p*m reads x[q + s*(k + j*m)], takes the
 /// length-p DFT over j, multiplies output r by w_L^(r*k) and writes
 /// y[q + s*(p*k + r)] into the other of two buffers; s then grows by p.
-/// Radix 4 with one radix-2 fix-up, a generic O(p^2) butterfly for odd
+/// Radix-8, -4 and -2 butterflies, a generic O(p^2) butterfly for odd
 /// radices up to kGenericRadixMax and a Bluestein chirp-z fallback cover
 /// every length. Each stage's tables are built when the plan is made.
-/// The starting s is the interleave width: one line runs with s = 1, and B
-/// lines interleaved as [n][B] run the same stages with s = B.
+///
+/// Data runs as split planes: a block of s interleaved lines is held as
+/// re[n][s] and im[n][s], and each stage's q-loop does lane arithmetic
+/// across the lines. The lanes are four doubles (AVX2, chosen once per
+/// plan with __builtin_cpu_supports) when s % 4 == 0, else one double.
+/// Both come from one kernel template with the same operation order and
+/// no FMA, so every lane width gives the same bits: a line's result does
+/// not depend on the host or on how many lines run beside it.
 ///
 /// Conventions match FFTW/cuFFT: the forward transform uses the
 /// exp(-2*pi*i*k*n/N) kernel, transforms are unnormalized in both
@@ -55,7 +61,9 @@ class Plan1D {
 
   /// Transforms n contiguous elements from `in` to `out`. `in == out`
   /// (exact in-place) is allowed; partially overlapping ranges are not.
-  void execute(const cplx* in, cplx* out, Direction dir);
+  void execute(const cplx* in, cplx* out, Direction dir) {
+    execute_lines(in, 1, 0, out, 1, 0, 1, dir);
+  }
 
   /// Strided variant: element j is read at in[j * istride] and written at
   /// out[j * ostride]. Input and output ranges must be disjoint or identical
@@ -67,10 +75,11 @@ class Plan1D {
 
   /// Transforms `count` lines: element j of line l is read at
   /// in[l * idist + j * istride] and written at out[l * odist + j * ostride].
-  /// Blocks of B = 8 lines are gathered into [n][B] (a row of B at a
-  /// time when idist == 1), run with s = B and scattered back, so each
-  /// line equals execute() on it bit for bit. Bluestein lengths go one line
-  /// at a time. Exact in-place (same pointer and layout) is allowed.
+  /// Blocks of up to 8 lines are split into the planes re[n][8] and
+  /// im[n][8] (a row of 8 at a time when idist == 1; one pass for a single
+  /// contiguous line), run with s = 8 and merged back, so each line equals
+  /// execute() on it bit for bit. Bluestein lengths go one line at a time.
+  /// Exact in-place (same pointer and layout) is allowed.
   void execute_lines(const cplx* in, idx_t istride, idx_t idist, cplx* out,
                      idx_t ostride, idx_t odist, int count, Direction dir);
 
@@ -86,14 +95,21 @@ class Plan1D {
     std::vector<cplx> roots;
   };
 
-  /// Runs the stages on s-interleaved data from `src`, ending in `dst` and
-  /// alternating through `other`; `src` must not be stage 0's target.
-  void run(const cplx* src, cplx* dst, cplx* other, idx_t s,
+  /// Runs the stages on s-interleaved split planes (each buffer holds the
+  /// real plane of n*s doubles, then the imaginary one) from `src`, ending
+  /// in `dst` and alternating through `other`; `src` must not be stage 0's
+  /// target.
+  void run(const double* src, double* dst, double* other, idx_t s,
            Direction dir) const;
 
+  struct Kernels;
+  /// The AVX2 kernels when the host has AVX2, else the scalar ones.
+  static const Kernels& host_kernels();
+
   int n_ = 0;
+  const Kernels* kernels_;
   std::vector<StageTables> stages_;
-  std::vector<cplx> work_;  ///< ping-pong and block buffers, grown on use
+  std::vector<cplx> work_;  ///< ping-pong plane buffers, grown on use
   std::unique_ptr<Bluestein> blue_;
 };
 

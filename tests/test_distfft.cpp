@@ -186,25 +186,35 @@ TEST(DistFftFeatures, InPlaceExecution) {
   ro.nranks = 4;
   smpi::Runtime rt(ro);
   rt.run([&](smpi::Comm& c) {
-    // Same pencil layout in and out so counts match for in-place use.
+    // Same pencil layout in and out so counts match for in-place use. An
+    // FFT stage comes first, so execute works on a copy of `in`.
     const auto boxes = grid_boxes(n, pencil_grid(c.size(), 0), c.size());
     const Box3& box = boxes[static_cast<std::size_t>(c.rank())];
     PlanOptions opt;
     opt.decomp = Decomposition::Pencil;
+    opt.scaling = Scaling::Full;
     Plan3D plan(c, n, box, box, opt);
+    EXPECT_EQ(plan.stage_plan().stages.front().kind, Stage::Kind::Fft);
     std::vector<cplx> data(static_cast<std::size_t>(box.count()));
     pack_box(global.data(), world_box(n), box, data.data());
+    const std::vector<cplx> orig = data;
     plan.execute(data.data(), data.data(), dft::Direction::Forward);
     std::vector<cplx> want(data.size());
     pack_box(ref.data(), world_box(n), box, want.data());
     for (std::size_t i = 0; i < want.size(); ++i)
       EXPECT_NEAR(std::abs(data[i] - want[i]), 0.0, 1e-8);
+    // The scaled backward pass, in place too, recovers the input.
+    plan.execute(data.data(), data.data(), dft::Direction::Backward);
+    for (std::size_t i = 0; i < orig.size(); ++i)
+      EXPECT_NEAR(std::abs(data[i] - orig[i]), 0.0, 1e-12);
   });
 }
 
 TEST(DistFftFeatures, PencilInputToBrickOutput) {
   // Asymmetric in/out layouts (input already pencil-shaped: the case where
-  // the paper notes MPI_Alltoall padding is harmless).
+  // the paper notes MPI_Alltoall padding is harmless). With z-pencils in,
+  // the first stage is a reshape that reads `in` directly; with x-pencils
+  // in, an FFT comes first and works on a copy of it.
   const std::array<int, 3> n = {8, 12, 4};
   const idx_t N = 8 * 12 * 4;
   Rng rng(5);
@@ -212,27 +222,33 @@ TEST(DistFftFeatures, PencilInputToBrickOutput) {
   std::vector<cplx> ref = global;
   dft::fft3d_local(ref.data(), n, dft::Direction::Forward);
 
-  smpi::RuntimeOptions ro;
-  ro.nranks = 6;
-  smpi::Runtime rt(ro);
-  rt.run([&](smpi::Comm& c) {
-    const auto in_boxes = grid_boxes(n, pencil_grid(c.size(), 2), c.size());
-    const auto out_boxes = brick_layout(n, c.size());
-    const Box3& inbox = in_boxes[static_cast<std::size_t>(c.rank())];
-    const Box3& outbox = out_boxes[static_cast<std::size_t>(c.rank())];
-    PlanOptions opt;
-    opt.decomp = Decomposition::Pencil;
-    opt.backend = Backend::Alltoall;
-    Plan3D plan(c, n, inbox, outbox, opt);
-    std::vector<cplx> in(static_cast<std::size_t>(inbox.count()));
-    std::vector<cplx> out(static_cast<std::size_t>(outbox.count()));
-    pack_box(global.data(), world_box(n), inbox, in.data());
-    plan.execute(in.data(), out.data(), dft::Direction::Forward);
-    std::vector<cplx> want(out.size());
-    pack_box(ref.data(), world_box(n), outbox, want.data());
-    for (std::size_t i = 0; i < want.size(); ++i)
-      EXPECT_NEAR(std::abs(out[i] - want[i]), 0.0, 1e-8);
-  });
+  for (const int in_axis : {2, 0}) {
+    smpi::RuntimeOptions ro;
+    ro.nranks = 6;
+    smpi::Runtime rt(ro);
+    rt.run([&](smpi::Comm& c) {
+      const auto in_boxes =
+          grid_boxes(n, pencil_grid(c.size(), in_axis), c.size());
+      const auto out_boxes = brick_layout(n, c.size());
+      const Box3& inbox = in_boxes[static_cast<std::size_t>(c.rank())];
+      const Box3& outbox = out_boxes[static_cast<std::size_t>(c.rank())];
+      PlanOptions opt;
+      opt.decomp = Decomposition::Pencil;
+      opt.backend = Backend::Alltoall;
+      Plan3D plan(c, n, inbox, outbox, opt);
+      EXPECT_EQ(plan.stage_plan().stages.front().kind,
+                in_axis == 2 ? Stage::Kind::Reshape : Stage::Kind::Fft);
+      std::vector<cplx> in(static_cast<std::size_t>(inbox.count()));
+      std::vector<cplx> out(static_cast<std::size_t>(outbox.count()));
+      pack_box(global.data(), world_box(n), inbox, in.data());
+      plan.execute(in.data(), out.data(), dft::Direction::Forward);
+      std::vector<cplx> want(out.size());
+      pack_box(ref.data(), world_box(n), outbox, want.data());
+      for (std::size_t i = 0; i < want.size(); ++i)
+        EXPECT_NEAR(std::abs(out[i] - want[i]), 0.0, 1e-8)
+            << "input pencil axis " << in_axis;
+    });
+  }
 }
 
 TEST(DistFftFeatures, TraceRecordsAllKernelCategories) {
@@ -268,10 +284,13 @@ TEST(DistFftFeatures, TraceRecordsAllKernelCategories) {
   });
 }
 
-/// Every rank's forward output, then its backward output of that forward
-/// output, for one backend.
+/// Every rank's forward output, then its backward (Scaling::Full) output
+/// of that, for one backend on the 12x10x9 grid over 6 ranks with bricks
+/// in and out (a reshape at both ends of the pipeline). In place, each
+/// execute gets in == out.
 std::vector<std::vector<cplx>> forward_backward(Backend backend, int batch,
-                                                bool contiguous) {
+                                                bool contiguous,
+                                                bool in_place = false) {
   const std::array<int, 3> n = {12, 10, 9};
   const idx_t N = static_cast<idx_t>(n[0]) * n[1] * n[2];
   Rng rng(4321);
@@ -291,18 +310,54 @@ std::vector<std::vector<cplx>> forward_backward(Backend backend, int batch,
     opt.batch = batch;
     opt.scaling = Scaling::Full;
     Plan3D plan(c, n, box, box, opt);
+    const auto& stages = plan.stage_plan().stages;
+    EXPECT_EQ(stages.front().kind, Stage::Kind::Reshape);
+    EXPECT_EQ(stages.back().kind, Stage::Kind::Reshape);
     std::vector<cplx> in(static_cast<std::size_t>(plan.input_elements()));
     for (int b = 0; b < batch; ++b)
       pack_box(global.data() + b * N, world_box(n), box,
                in.data() + b * box.count());
     std::vector<cplx>& fwd = out[static_cast<std::size_t>(2 * c.rank())];
     std::vector<cplx>& bwd = out[static_cast<std::size_t>(2 * c.rank() + 1)];
-    fwd.resize(in.size());
-    bwd.resize(in.size());
-    plan.execute(in.data(), fwd.data(), dft::Direction::Forward);
-    plan.execute(fwd.data(), bwd.data(), dft::Direction::Backward);
+    if (in_place) {
+      std::vector<cplx> data = in;
+      plan.execute(data.data(), data.data(), dft::Direction::Forward);
+      fwd = data;
+      plan.execute(data.data(), data.data(), dft::Direction::Backward);
+      bwd = data;
+    } else {
+      fwd.resize(in.size());
+      bwd.resize(in.size());
+      plan.execute(in.data(), fwd.data(), dft::Direction::Forward);
+      plan.execute(fwd.data(), bwd.data(), dft::Direction::Backward);
+    }
   });
   return out;
+}
+
+TEST(DistFftFeatures, InPlaceMatchesOutOfPlaceAtReshapeEnds) {
+  // A reshape as the first stage reads `in` and one as the last writes
+  // `out` directly; with in == out every rank's output must still be
+  // byte-identical to the out-of-place run, on every backend, batched
+  // (overlapped) or not. InPlaceExecution covers a plan whose first stage
+  // is an FFT, which works on a copy of `in`.
+  auto check = [](Backend backend, int batch) {
+    const auto want = forward_backward(backend, batch, false, false);
+    const auto got = forward_backward(backend, batch, false, true);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ(got[i].size(), want[i].size());
+      EXPECT_EQ(std::memcmp(got[i].data(), want[i].data(),
+                            want[i].size() * sizeof(cplx)),
+                0)
+          << backend_name(backend) << " batch " << batch << " rank " << i / 2
+          << (i % 2 == 0 ? " forward" : " backward");
+    }
+  };
+  for (Backend backend : {Backend::Alltoallv, Backend::Alltoall,
+                          Backend::Alltoallw, Backend::P2PBlocking,
+                          Backend::P2PNonBlocking})
+    for (int batch : {1, 2}) check(backend, batch);
 }
 
 TEST(DistFftFeatures, BackendsAgreeBitForBit) {

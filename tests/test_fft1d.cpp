@@ -39,9 +39,19 @@ TEST(Factorize, StageProductsEqualN) {
   }
 }
 
-TEST(Factorize, PrefersRadixFour) {
-  auto st = fft_stages(64);
-  EXPECT_EQ(st[0].p, 4);
+TEST(Factorize, PrefersRadixEightThenFour) {
+  // Radix 8 first whenever 8 divides n; a 4 = 2^2 remainder is one
+  // radix-4 stage, a 2 one radix-2 stage.
+  for (int n : {8, 24, 64, 120, 512})
+    EXPECT_EQ(fft_stages(n)[0].p, 8) << n;
+  for (int n : {4, 12, 20, 36, 4 * 105})
+    EXPECT_EQ(fft_stages(n)[0].p, 4) << n;
+  std::vector<int> radices;
+  for (const Stage& st : fft_stages(2 * 8 * 8 * 8)) radices.push_back(st.p);
+  EXPECT_EQ(radices, (std::vector<int>{8, 8, 8, 2}));
+  radices.clear();
+  for (const Stage& st : fft_stages(4 * 45)) radices.push_back(st.p);
+  EXPECT_EQ(radices, (std::vector<int>{4, 3, 3, 5}));
 }
 
 TEST(Factorize, LargestPrimeFactor) {
@@ -253,13 +263,17 @@ idx_t span_of(int n, int count, idx_t stride, idx_t dist) {
 // Every layout runs through the block path (8 lines interleaved per
 // block; counts on both sides of one and two blocks), and each line must
 // come out bit for bit as Plan1D::execute makes it from that line alone.
-// Elements between the lines must be left untouched.
+// Counts that are not a multiple of 4 run their first stages on one-double
+// lanes and later ones on four-double lanes, so the lane widths must agree
+// bit for bit too. The sizes cover radix 8 (8, 64, 512, 2 * 8^3), radix 8
+// with odd factors (120) and every other stage kind. Elements between the
+// lines must be left untouched.
 TEST(ManyPlan, BlockedMatchesSingleLineBitwise) {
   constexpr int kMaxCount = 33;
   const cplx sentinel{-123.25, 456.5};
   // 67 has a prime factor above kGenericRadixMax: Bluestein.
-  for (int n : {1, 2, 3, 5, 7, 8, 12, 15, 49, 60, 96, 100, 105, 128, 243,
-                1000, 4096, 67}) {
+  for (int n : {1, 2, 3, 5, 7, 8, 12, 15, 49, 60, 64, 96, 100, 105, 120, 128,
+                243, 512, 1000, 1024, 4096, 67}) {
     Plan1D single(n);
     EXPECT_EQ(single.uses_bluestein(), n == 67);
     Rng rng(7000 + static_cast<std::uint64_t>(n));
@@ -279,7 +293,7 @@ TEST(ManyPlan, BlockedMatchesSingleLineBitwise) {
                           reference_dft(lines[static_cast<std::size_t>(l)], dir)),
                   tol)
             << "n=" << n << " line " << l;
-      for (int count : {1, 7, 8, 9, 15, 16, 17, 33})
+      for (int count : {1, 2, 3, 4, 5, 7, 8, 9, 12, 15, 16, 17, 33})
         for (Layout kind : {Layout::Contiguous, Layout::AdjacentStrided,
                             Layout::GeneralStrided})
           for (bool in_place : {true, false}) {
