@@ -105,21 +105,4 @@ idx_t transpose_to_lines(const cplx* src, const Box3& box, int axis,
   return lines;
 }
 
-void transpose_from_lines(const cplx* src, const Box3& box, int axis,
-                          cplx* dst) {
-  PARFFT_CHECK(axis >= 0 && axis < 3, "axis must be 0, 1 or 2");
-  const idx_t n0 = box.size(0), n1 = box.size(1), n2 = box.size(2);
-  switch (axis) {
-    case 2:
-      std::memcpy(dst, src, static_cast<std::size_t>(box.count()) * sizeof(cplx));
-      break;
-    case 1:
-      transpose_tiled(src, n0, n2, n1, dst);
-      break;
-    default:
-      transpose_tiled(src, 1, n1 * n2, n0, dst);
-      break;
-  }
-}
-
 }  // namespace parfft::core

@@ -48,8 +48,4 @@ double pack_contiguous_run(const Box3& local, const Box3& region,
 idx_t transpose_to_lines(const cplx* src, const Box3& box, int axis,
                          cplx* dst);
 
-/// Inverse of transpose_to_lines.
-void transpose_from_lines(const cplx* src, const Box3& box, int axis,
-                          cplx* dst);
-
 }  // namespace parfft::core

@@ -1,10 +1,10 @@
 #include "core/plan.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/error.hpp"
 #include "common/paranoid.hpp"
-#include "core/pack.hpp"
 #include "core/simulate.hpp"
 #include "fft/many.hpp"
 
@@ -222,8 +222,16 @@ void Plan3D::execute(const cplx* in, cplx* out, dft::Direction dir) {
   }
 
   // Settle the pipelined-batch charge before the (once-per-batch) scaling
-  // pass so normalization lands after the overlapped window.
-  if (overlap) overlap_settle(entry);
+  // pass so normalization lands after the overlapped window. The stages'
+  // spans were recorded back to back; fit them into that window. A span
+  // longer than the window (an FFT plan's first-call spike, which the
+  // pipeline does not charge) cannot fit, and fft3d stretches to cover it.
+  double span_end = 0;
+  if (overlap) {
+    overlap_settle(entry);
+    if (run != nullptr)
+      span_end = run->tracer.fit_children(wrank, comm_.vtime());
+  }
 
   if (dir == dft::Direction::Backward &&
       plan_.options.scaling == Scaling::Full) {
@@ -236,7 +244,8 @@ void Plan3D::execute(const cplx* in, cplx* out, dft::Direction dir) {
            gpu::pointwise_cost(dev_, bytes));
   }
 
-  if (run != nullptr) run->tracer.end(wrank, comm_.vtime());
+  if (run != nullptr)
+    run->tracer.end(wrank, std::max(span_end, comm_.vtime()));
 
   if (direct_out) return;
   PARFFT_ASSERT(static_cast<idx_t>(work_.size()) == output_elements());
@@ -341,47 +350,21 @@ void Plan3D::run_reshape_p2p(const Stage& stage, int tag_base,
   charge_unpack(comm_, rp, batch, sizeof(cplx), &trace_);
 }
 
-namespace {
-
-/// Moves the data of Fft kernel `k` on the `batch` bricks `box` in `work`.
-void transform_axis(std::vector<cplx>& work, std::vector<cplx>& scratch,
-                    const Box3& box, const Kernel& k, int batch,
-                    dft::Direction dir) {
-  const idx_t count = box.count();
-  if (k.strided || k.axis == 2) {
-    // Strided (or already contiguous) execution straight on the brick.
-    const std::array<int, 3> dims = {static_cast<int>(box.size(0)),
-                                     static_cast<int>(box.size(1)),
-                                     static_cast<int>(box.size(2))};
-    for (int b = 0; b < batch; ++b)
-      dft::fft3d_axis(work.data() + b * count, dims, k.axis, dir);
-    return;
-  }
-  // heFFTe's reorder path: transpose to contiguous lines, transform,
-  // transpose back.
-  scratch.resize(work.size());
-  for (int b = 0; b < batch; ++b)
-    transpose_to_lines(work.data() + b * count, box, k.axis,
-                       scratch.data() + b * count);
-  dft::ManyPlan(k.len, {.count = k.lines})
-      .execute(scratch.data(), scratch.data(), dir);
-  for (int b = 0; b < batch; ++b)
-    transpose_from_lines(scratch.data() + b * count, box, k.axis,
-                         work.data() + b * count);
-}
-
-}  // namespace
-
 void Plan3D::run_fft(std::size_t stage, dft::Direction dir) {
   const int me = comm_.rank();
   const Box3& box = plan_.stages[stage].boxes[static_cast<std::size_t>(me)];
   const int batch = plan_.options.batch;
+  const std::array<int, 3> dims = {static_cast<int>(box.size(0)),
+                                   static_cast<int>(box.size(1)),
+                                   static_cast<int>(box.size(2))};
   for (const Kernel& k : stage_kernels(plan_, stage, me, batch, dev_)) {
-    // A Reorder kernel charges the transposes the Fft kernel after it runs.
     double t = k.seconds;
     std::vector<obs::SpanArg> args;
     if (k.kind == KernelKind::Fft) {
-      transform_axis(work_, work2_, box, k, batch, dir);
+      // A Reorder kernel's transposes only change the memory layout the
+      // GPU FFT reads; on the host every axis runs on the brick in place.
+      for (int b = 0; b < batch; ++b)
+        dft::fft3d_axis(work_.data() + b * box.count(), dims, k.axis, dir);
       t = fft_cache_.fft_call(dev_, k.len, k.lines, k.strided);
       if (obs::RunTrace* run = comm_.trace_run(); run && run->with_args())
         args = {{"axis", static_cast<double>(k.axis)},

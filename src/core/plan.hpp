@@ -50,7 +50,9 @@ class Plan3D {
   /// collective then sets every rank's clock to the latest execute-entry
   /// clock plus core::overlapped_batch_time(), the Fig. 13 schedule the
   /// simulator prices. That time is priced once per plan, on its first
-  /// overlapped execute; trace() keeps the sequential times.
+  /// overlapped execute; trace() keeps the sequential times, and the
+  /// traced spans of the stages are fitted into the settled window
+  /// (obs::Tracer::fit_children), so they overlap there.
   void execute(const cplx* in, cplx* out, dft::Direction dir);
 
   const StagePlan& stage_plan() const { return plan_; }

@@ -130,10 +130,4 @@ KernelTimes RealPlan3D::kernels() const {
   return k;
 }
 
-void RealPlan3D::clear_trace() {
-  trace_.clear();
-  complex_fwd_.trace().clear();
-  complex_bwd_.trace().clear();
-}
-
 }  // namespace parfft::core

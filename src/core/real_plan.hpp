@@ -53,7 +53,6 @@ class RealPlan3D {
   /// Combined virtual-time accounting: the real reshape + r2c stage plus
   /// both complex pipelines.
   KernelTimes kernels() const;
-  void clear_trace();
 
  private:
   void exchange_real(const ReshapePlan& rp, const double* in, double* out);

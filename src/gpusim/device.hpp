@@ -16,7 +16,6 @@
 #include <map>
 #include <string>
 #include <tuple>
-#include <vector>
 
 #include "common/error.hpp"
 #include "common/types.hpp"
@@ -144,31 +143,6 @@ class StreamTimeline {
 
  private:
   double ready_ = 0;
-};
-
-/// Typed storage tagged with a memory space. Device buffers are plain host
-/// memory (the CPU executes all kernels) but the tag drives transfer-path
-/// selection in the MPI runtime and asserts in the pack/unpack kernels.
-template <typename T>
-class Buffer {
- public:
-  Buffer() = default;
-  Buffer(std::size_t n, MemSpace space) : data_(n), space_(space) {}
-
-  T* data() { return data_.data(); }
-  const T* data() const { return data_.data(); }
-  std::size_t size() const { return data_.size(); }
-  MemSpace space() const { return space_; }
-  bool on_device() const { return space_ == MemSpace::Device; }
-
-  T& operator[](std::size_t i) { return data_[i]; }
-  const T& operator[](std::size_t i) const { return data_[i]; }
-
-  void resize(std::size_t n) { data_.resize(n); }
-
- private:
-  std::vector<T> data_;
-  MemSpace space_ = MemSpace::Host;
 };
 
 }  // namespace parfft::gpu

@@ -136,9 +136,6 @@ class Session {
   /// Plain-text summary tables of every run.
   void write_summary(std::ostream& os) const;
 
-  /// Path from `PARFFT_TRACE` (empty when unset).
-  const std::string& env_path() const { return env_path_; }
-
  private:
   void flush_env_outputs();
 

@@ -1,5 +1,8 @@
 #include "obs/tracer.hpp"
 
+#include <algorithm>
+#include <iterator>
+
 #include "common/error.hpp"
 #include "common/paranoid.hpp"
 
@@ -62,6 +65,28 @@ void Tracer::end(int rank, double t) {
   PARFFT_CHECK(t >= s.begin, "span end precedes its begin");
   s.dur = t - s.begin;
   rs.done.push_back(std::move(s));
+}
+
+double Tracer::fit_children(int rank, double t) {
+  RankState& rs = state(rank);
+  PARFFT_CHECK(!rs.open.empty(), "tracer fit_children() without an open span");
+  const double lo = rs.open.back().begin;
+  // The open span's descendants are the closed spans deeper than it at
+  // the tail of `done`.
+  const int depth = static_cast<int>(rs.open.size());
+  auto first = rs.done.end();
+  while (first != rs.done.begin() && std::prev(first)->depth >= depth)
+    --first;
+  double shrink = 1;
+  for (auto it = first; it != rs.done.end(); ++it)
+    if (it->begin > lo && it->dur <= t - lo)
+      shrink = std::min(shrink, (t - lo - it->dur) / (it->begin - lo));
+  double last = t;
+  for (auto it = first; it != rs.done.end(); ++it) {
+    if (shrink < 1) it->begin = lo + (it->begin - lo) * shrink;
+    if (it->dur > t - lo) last = std::max(last, it->end());
+  }
+  return last;
 }
 
 void Tracer::complete(int rank, Category cat, std::string name, double begin,

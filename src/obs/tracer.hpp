@@ -93,6 +93,14 @@ class Tracer {
              std::vector<SpanArg> args = {});
   /// Closes the innermost open span of `rank` at virtual time `t`.
   void end(int rank, double t);
+  /// Moves the spans recorded so far inside the innermost open span of
+  /// `rank` so that each ends by virtual time `t` if it can: their begins
+  /// shrink by one factor towards the open span's begin, so they keep
+  /// their order, durations and nesting but may overlap. For work charged
+  /// as a pipeline after running back to back. Returns `t`, or the latest
+  /// end of the spans longer than the window: the open span must end
+  /// there to cover them.
+  double fit_children(int rank, double t);
   /// Records a leaf span [begin, begin + dur), nested under the currently
   /// open spans of `rank`.
   void complete(int rank, Category cat, std::string name, double begin,

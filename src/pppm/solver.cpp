@@ -39,10 +39,6 @@ KspaceSolver::KspaceSolver(smpi::Comm& comm, const SolverOptions& opt)
   rhohat_.resize(static_cast<std::size_t>(spec_box_.count()));
 }
 
-double KspaceSolver::cell_size() const {
-  return opt_.box_len / opt_.grid[0];
-}
-
 std::array<idx_t, 3> KspaceSolver::cell_of(const Particle& p) const {
   std::array<idx_t, 3> c{};
   for (int d = 0; d < 3; ++d) {
@@ -58,10 +54,6 @@ std::array<idx_t, 3> KspaceSolver::cell_of(const Particle& p) const {
 
 bool KspaceSolver::owns(const Particle& p) const {
   return box_.contains(cell_of(p));
-}
-
-core::KernelTimes KspaceSolver::fft_kernels() const {
-  return rplan_ ? rplan_->kernels() : cplan_->trace().kernels();
 }
 
 StepResult KspaceSolver::step(const std::vector<Particle>& mine,

@@ -45,19 +45,13 @@ class KspaceSolver {
   /// brick of the mesh chosen for its rank (as LAMMPS bricks its domain).
   KspaceSolver(smpi::Comm& comm, const SolverOptions& opt);
 
-  const core::Box3& local_box() const { return box_; }
-  double cell_size() const;
-
-  /// True if this rank owns `p` (its deposit cell lies in local_box()).
+  /// True if this rank owns `p` (its deposit cell lies in its brick).
   bool owns(const Particle& p) const;
 
   /// One KSPACE step over this rank's particles. `forces` (if non-null)
   /// receives one force vector per particle. Collective.
   StepResult step(const std::vector<Particle>& mine,
                   std::vector<std::array<double, 3>>* forces);
-
-  /// Accumulated FFT-level trace (comm/fft/pack split used by Fig. 12).
-  core::KernelTimes fft_kernels() const;
 
  private:
   std::array<idx_t, 3> cell_of(const Particle& p) const;

@@ -740,8 +740,6 @@ void Server::advance_to(double t) {
 
 double Server::now() const { return eng_ ? eng_->now : 0.0; }
 
-bool Server::executor_up() const { return eng_ ? eng_->up : true; }
-
 bool Server::executor_up_at(double t) const {
   return eng_ ? (eng_->up || eng_->restart_at <= t) : true;
 }

@@ -240,13 +240,11 @@ class Server {
   void advance_to(double t);
   /// Virtual clock of the engine (0 before begin()).
   double now() const;
-  /// False while the executor is crashed and awaiting restart.
-  bool executor_up() const;
   /// Whether the executor will be serving at time `t` (>= now()): up
   /// already, or crashed with the restart due by `t`. The cluster
   /// router's health probe -- a crashed shard with no queued work never
-  /// advances its own clock, so executor_up() alone would look down
-  /// forever and the machine could never rejoin placement.
+  /// advances its own clock, so asking whether it is up now would look
+  /// down forever and the machine could never rejoin placement.
   bool executor_up_at(double t) const;
   /// Submissions waiting in the batcher (the shard's queue depth).
   std::size_t queue_depth() const;

@@ -328,7 +328,6 @@ class Runtime {
 
   const RuntimeOptions& options() const { return opt_; }
   const net::CommCost& cost() const { return cost_; }
-  const net::RankMap& rank_map() const { return map_; }
 
   /// The trace of the current (or most recent) run; nullptr when tracing
   /// is disabled.

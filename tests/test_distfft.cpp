@@ -363,12 +363,16 @@ TEST(DistFftFeatures, InPlaceMatchesOutOfPlaceAtReshapeEnds) {
 TEST(DistFftFeatures, BackendsAgreeBitForBit) {
   // Every backend moves the same blocks into the same places, so on an
   // uneven layout (6 ranks, 12x10x9) the output arrays are byte-identical,
-  // forward and backward, batched or not, strided or contiguous FFTs.
-  for (int batch : {1, 3})
-    for (bool contiguous : {false, true}) {
-      const auto want = forward_backward(Backend::Alltoallv, batch, contiguous);
-      for (Backend backend : {Backend::Alltoall, Backend::Alltoallw,
-                              Backend::P2PBlocking, Backend::P2PNonBlocking}) {
+  // forward and backward, batched or not. A contiguous_fft plan prices its
+  // reorder transposes but runs every axis on the brick, so it gives the
+  // same bytes as the strided plan.
+  for (int batch : {1, 3}) {
+    const auto want = forward_backward(Backend::Alltoallv, batch, false);
+    for (bool contiguous : {false, true})
+      for (Backend backend : {Backend::Alltoallv, Backend::Alltoall,
+                              Backend::Alltoallw, Backend::P2PBlocking,
+                              Backend::P2PNonBlocking}) {
+        if (backend == Backend::Alltoallv && !contiguous) continue;
         const auto got = forward_backward(backend, batch, contiguous);
         ASSERT_EQ(got.size(), want.size());
         for (std::size_t i = 0; i < want.size(); ++i) {
@@ -381,7 +385,7 @@ TEST(DistFftFeatures, BackendsAgreeBitForBit) {
               << i / 2 << (i % 2 == 0 ? " forward" : " backward");
         }
       }
-    }
+  }
 }
 
 }  // namespace

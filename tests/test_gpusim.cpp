@@ -114,18 +114,6 @@ TEST(StreamTimeline, RejectsNegativeDuration) {
   EXPECT_THROW(s.submit(0.0, -1.0), Error);
 }
 
-TEST(Buffer, TracksSpaceTag) {
-  Buffer<double> host(8, MemSpace::Host);
-  Buffer<double> dev(8, MemSpace::Device);
-  EXPECT_FALSE(host.on_device());
-  EXPECT_TRUE(dev.on_device());
-  dev[3] = 2.5;
-  EXPECT_DOUBLE_EQ(dev[3], 2.5);
-  dev.resize(16);
-  EXPECT_EQ(dev.size(), 16u);
-  EXPECT_TRUE(dev.on_device());
-}
-
 TEST(PlanCache, BoundedCapacityEvictsLeastRecentlyUsed) {
   const DeviceSpec d = v100();
   PlanCache cache(/*capacity=*/2);

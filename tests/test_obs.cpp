@@ -345,6 +345,71 @@ TEST(RuntimeTrace, PlanTraceMatchesSpans) {
   EXPECT_TRUE(msg_hist);
 }
 
+// An overlapped batched execute runs its stages back to back but leaves
+// every rank at the pipelined time. Its spans are fitted into that window,
+// so every span lies inside its parent. The top-level spans of a rank do
+// not overlap once the FFT plans exist: the first execute's plan-creation
+// spikes are not part of the pipelined time, so its fft3d span stretches
+// past the window to cover them.
+TEST(RuntimeTrace, OverlappedBatchSpansNestInTheirParents) {
+  const std::array<int, 3> n = {16, 12, 8};
+  constexpr int kRanks = 4;
+  for (core::Backend backend :
+       {core::Backend::Alltoallv, core::Backend::P2PNonBlocking}) {
+    SCOPED_TRACE(core::backend_name(backend));
+    smpi::RuntimeOptions ro;
+    ro.nranks = kRanks;
+    ro.trace.enabled = true;
+    smpi::Runtime rt(ro);
+    rt.run([&](smpi::Comm& comm) {
+      const auto boxes = core::brick_layout(n, comm.size());
+      const core::Box3& box = boxes[static_cast<std::size_t>(comm.rank())];
+      core::PlanOptions opt;
+      opt.backend = backend;
+      opt.batch = 4;
+      opt.scaling = core::Scaling::Full;
+      core::Plan3D plan(comm, n, box, box, opt);
+      Rng rng(3 + static_cast<std::uint64_t>(comm.rank()));
+      auto data = rng.complex_vector(
+          static_cast<std::size_t>(plan.input_elements()));
+      std::vector<cplx> out(data.size());
+      for (int rep = 0; rep < 3; ++rep) {
+        const auto dir = rep % 2 == 0 ? dft::Direction::Forward
+                                      : dft::Direction::Backward;
+        plan.execute(data.data(), out.data(), dir);
+        data.swap(out);
+      }
+    });
+    const obs::RunTrace* tr = obs::Session::global().runs().back();
+    for (int r = 0; r < kRanks; ++r) {
+      SCOPED_TRACE("rank " + std::to_string(r));
+      // Completion order puts each span before its parent: the first
+      // later span one level up.
+      const auto& spans = tr->tracer.spans(r);
+      int transforms = 0;
+      double top_end = 0;
+      for (std::size_t i = 0; i < spans.size(); ++i) {
+        const obs::Span& s = spans[i];
+        if (s.depth == 0) {
+          if (transforms >= 2) {
+            EXPECT_GE(s.begin, top_end) << s.name;
+          }
+          top_end = s.end();
+          transforms += s.cat == obs::Category::Transform;
+          continue;
+        }
+        std::size_t p = i + 1;
+        while (p < spans.size() && spans[p].depth != s.depth - 1) ++p;
+        ASSERT_LT(p, spans.size()) << s.name << " has no parent";
+        EXPECT_GE(s.begin, spans[p].begin) << s.name << " in " << spans[p].name;
+        EXPECT_LE(s.end(), spans[p].end() * (1 + 1e-12))
+            << s.name << " in " << spans[p].name;
+      }
+      EXPECT_EQ(transforms, 3);
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Integration: virtual-time simulator. Checks structural nesting, counter
 // tracks from the flow model, and per-link gauges.

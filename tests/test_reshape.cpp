@@ -64,16 +64,14 @@ TEST(Pack, ContiguousRunHeuristic) {
 
 class TransposeAxes : public ::testing::TestWithParam<int> {};
 
-TEST_P(TransposeAxes, RoundTripAndLineContent) {
+TEST_P(TransposeAxes, LineContent) {
   const int axis = GetParam();
   const Box3 box{{2, 1, 0}, {5, 4, 5}};  // 4 x 4 x 6
   Rng rng(10 + static_cast<std::uint64_t>(axis));
   auto data = rng.complex_vector(static_cast<std::size_t>(box.count()));
-  std::vector<cplx> lines(data.size()), back(data.size());
+  std::vector<cplx> lines(data.size());
   const idx_t nlines = transpose_to_lines(data.data(), box, axis, lines.data());
   EXPECT_EQ(nlines, box.count() / box.size(axis));
-  transpose_from_lines(lines.data(), box, axis, back.data());
-  EXPECT_EQ(back, data);
   // Each output line must be a walk along `axis` in the original brick.
   const idx_t len = box.size(axis);
   for (idx_t j = 0; j < len; ++j) {
@@ -87,7 +85,7 @@ TEST_P(TransposeAxes, RoundTripAndLineContent) {
 
 INSTANTIATE_TEST_SUITE_P(AllAxes, TransposeAxes, ::testing::Values(0, 1, 2));
 
-// The tiled transposes must move every element exactly where the plain
+// The tiled transpose must move every element exactly where the plain
 // triple loops put it, on boxes that are not multiples of the tile and on
 // power-of-two boxes alike.
 TEST(Pack, TransposeMatchesNaiveLoops) {
@@ -112,13 +110,10 @@ TEST(Pack, TransposeMatchesNaiveLoops) {
             want[static_cast<std::size_t>(line * len + j)] =
                 data[static_cast<std::size_t>((i0 * n1 + i1) * n2 + i2)];
           }
-      std::vector<cplx> lines(data.size()), back(data.size());
+      std::vector<cplx> lines(data.size());
       EXPECT_EQ(transpose_to_lines(data.data(), box, axis, lines.data()),
                 box.count() / len);
-      transpose_from_lines(want.data(), box, axis, back.data());
       EXPECT_EQ(std::memcmp(lines.data(), want.data(), want.size() * sizeof(cplx)), 0)
-          << n0 << "x" << n1 << "x" << n2 << " axis " << axis;
-      EXPECT_EQ(std::memcmp(back.data(), data.data(), data.size() * sizeof(cplx)), 0)
           << n0 << "x" << n1 << "x" << n2 << " axis " << axis;
     }
   }

@@ -13,8 +13,8 @@
 ///     module is specced, but reported explicitly so a broken or partial
 ///     spec still fails closed).
 ///
-/// The pass runs on cached facts, so an incremental run with zero
-/// re-analysed files still checks the global property.
+/// Files under a "names" tree (perfbench) carry no include facts: only
+/// the unused-decl pass reads them.
 
 #include <fstream>
 #include <sstream>
@@ -59,9 +59,11 @@ bool parse_layer_spec(const std::string& path, LayerSpec& spec,
       spec.layers.push_back(std::move(mods));
     } else if (kw == "open") {
       while (ss >> mod) spec.open.insert(mod);
+    } else if (kw == "names") {
+      while (ss >> mod) spec.names.insert(mod);
     } else {
       err = path + ":" + std::to_string(ln) + ": unknown keyword '" + kw +
-            "' (expected 'layer' or 'open')";
+            "' (expected 'layer', 'open' or 'names')";
       return false;
     }
   }
@@ -96,11 +98,12 @@ ModuleOf classify_path(const std::string& path, const LayerSpec& spec) {
       return out;
     }
   }
-  for (const std::string& comp : comps) {
-    if (spec.open.count(comp)) {
-      out.open = true;
-      return out;
-    }
+  // The innermost tree decides, so a checkout inside a directory that
+  // happens to share a tree's name classifies by its own trees.
+  for (auto it = comps.rbegin(); it != comps.rend(); ++it) {
+    out.open = spec.open.count(*it) > 0;
+    out.names = spec.names.count(*it) > 0;
+    if (out.open || out.names) return out;
   }
   return out;
 }
@@ -124,7 +127,7 @@ struct Edge {
 }  // namespace
 
 void check_layering(
-    const std::vector<std::pair<std::string, const FileReport*>>& files,
+    const std::vector<std::pair<std::string, FileReport>>& files,
     const LayerSpec& spec, std::vector<Finding>& out) {
   // module -> module -> representative include site (first in file order;
   // the caller sorts findings, so determinism does not depend on it).
@@ -141,7 +144,7 @@ void check_layering(
     }
     if (mod.open || mod.module.empty()) continue;  // open trees include freely
     const int from = spec.level.at(mod.module);
-    for (const IncludeRef& inc : rep->includes) {
+    for (const IncludeRef& inc : rep.includes) {
       const std::string to_mod = include_module(inc.target, spec);
       if (to_mod.empty() || to_mod == mod.module) continue;
       const int to = spec.level.at(to_mod);

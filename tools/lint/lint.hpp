@@ -4,7 +4,7 @@
 /// The tool is organised as a small multi-pass pipeline:
 ///
 ///   source.cpp      loading, comment/string stripping, allow directives,
-///                   token helpers, FNV-1a hashing
+///                   token helpers
 ///   rules_file.cpp  the per-file determinism rules (wall-clock,
 ///                   unordered-iter, float-eq, include-hygiene,
 ///                   span-pairing, alert-transitions, pointer-key)
@@ -14,15 +14,16 @@
 ///   accounting.cpp  accounting.def parsing, counter-field extraction
 ///                   from the report/cache headers, and the cross-TU
 ///                   direct-write pass
-///   cache.cpp       the content-hash incremental finding cache
+///   unused.cpp      the whole-program unused-decl pass (src/ header
+///                   functions no scanned file names)
 ///   output.cpp      deterministic ordering, text report, SARIF 2.1.0,
 ///                   baseline suppressions
 ///   parfft_lint.cpp the driver
 ///
-/// Per-file passes produce a cacheable FileReport (findings + include
-/// facts); the whole-program layering pass re-derives the module graph
-/// from those facts on every run, so an incremental run still checks
-/// global properties.
+/// Per-file passes produce a FileReport (findings + include facts); the
+/// whole-program passes then run over every file: layering over the
+/// include facts, unused-decl over the identifiers of every scanned
+/// file, names-only trees included.
 
 #pragma once
 
@@ -50,10 +51,8 @@ struct IncludeRef {
   bool allow = false;  ///< carried a 'parfft-lint: allow(layering)' directive
 };
 
-/// Everything the per-file passes extract from one file. This is the
-/// unit the incremental cache stores: on a content-hash hit the file is
-/// not re-analysed, but its include facts still feed the whole-program
-/// layering pass.
+/// Everything the per-file passes extract from one file; its include
+/// facts feed the whole-program layering pass.
 struct FileReport {
   std::vector<Finding> findings;
   std::vector<IncludeRef> includes;
@@ -62,6 +61,7 @@ struct FileReport {
 struct FileText {
   std::string path;           ///< generic (forward-slash) form
   bool explicit_file = false; ///< named on the command line, not found by recursion
+  bool names_only = false;    ///< under a `names` tree: read for identifiers only
   std::vector<std::string> raw;   ///< original lines (allow-directive scan)
   std::vector<std::string> code;  ///< comments and literal contents blanked
   std::set<std::pair<std::size_t, std::string>> allows;  ///< (1-based line, rule)
@@ -79,7 +79,6 @@ bool ident_char(char c);
 std::size_t find_word(const std::string& s, const std::string& token,
                       std::size_t from = 0);
 bool path_contains(const std::string& path, const std::string& dir);
-std::uint64_t fnv1a(const std::string& data, std::uint64_t seed = 0xcbf29ce484222325ull);
 
 // ----------------------------------------------------------- registry
 
@@ -103,13 +102,16 @@ void run_file_rules(const FileText& f, FileReport& rep);
 // --------------------------------------------------------- layering.cpp
 
 /// The checked-in layer spec (tools/lint/layers.def): an ordered list of
-/// layers, each holding one or more src/ modules, plus the "open" trees
-/// (bench, tests, tools, examples) that may include any module.
+/// layers, each holding one or more src/ modules, the "open" trees
+/// (bench, tests, tools, examples) that may include any module, and the
+/// "names" trees (perfbench) whose files no rule checks but whose
+/// identifiers count as uses for the unused-decl pass.
 struct LayerSpec {
   std::string path;                 ///< spec file, for messages
   std::map<std::string, int> level; ///< module -> 0-based layer index
   std::vector<std::vector<std::string>> layers;  ///< modules per level
   std::set<std::string> open;       ///< trees free to include anything
+  std::set<std::string> names;      ///< trees read for names only
 
   bool loaded() const { return !layers.empty(); }
 };
@@ -119,10 +121,12 @@ bool parse_layer_spec(const std::string& path, LayerSpec& spec, std::string& err
 
 /// Module classification of a scanned file: the component following a
 /// "src" path component when it names a spec module ("core", ...);
-/// otherwise "" with `open` set when the path runs through an open tree.
+/// otherwise "" with `open` or `names` set by the innermost open or
+/// names tree the path runs through.
 struct ModuleOf {
   std::string module;  ///< empty when not a module file
   bool open = false;
+  bool names = false;
   std::string unknown; ///< src/<dir> not present in the spec (a finding)
 };
 ModuleOf classify_path(const std::string& path, const LayerSpec& spec);
@@ -130,7 +134,7 @@ ModuleOf classify_path(const std::string& path, const LayerSpec& spec);
 /// The whole-program pass: builds the module dependency graph from every
 /// file's include facts and reports upward edges, same-layer
 /// cross-module edges, spec-unknown src modules and include cycles.
-void check_layering(const std::vector<std::pair<std::string, const FileReport*>>& files,
+void check_layering(const std::vector<std::pair<std::string, FileReport>>& files,
                     const LayerSpec& spec, std::vector<Finding>& out);
 
 // ------------------------------------------------------- accounting.cpp
@@ -165,33 +169,14 @@ bool parse_counter_spec(const std::string& path, CounterSpec& spec, std::string&
 void check_accounting(const FileText& f, const CounterSpec& spec,
                       std::vector<Finding>& out);
 
-// ------------------------------------------------------------ cache.cpp
+// ----------------------------------------------------------- unused.cpp
 
-/// Incremental finding cache, keyed by per-file content hash under one
-/// configuration hash (tool version + specs + indexed headers). A stale
-/// configuration invalidates every record at load time.
-class Cache {
- public:
-  /// Loads `path` if it exists and its config hash matches.
-  void load(const std::string& path, std::uint64_t config_hash);
-  /// Cached report for (path, content hash, explicit flag), or nullptr.
-  const FileReport* lookup(const std::string& file, std::uint64_t hash,
-                           bool explicit_file) const;
-  void put(const std::string& file, std::uint64_t hash, bool explicit_file,
-           const FileReport& rep);
-  /// Rewrites the cache with exactly the records put() this run (records
-  /// of deleted files age out).
-  bool save(const std::string& path, std::uint64_t config_hash) const;
-
- private:
-  struct Entry {
-    std::uint64_t hash = 0;
-    bool explicit_file = false;
-    FileReport rep;
-  };
-  std::map<std::string, Entry> loaded_;
-  std::map<std::string, Entry> current_;
-};
+/// The whole-program unused-decl pass: every function declared at
+/// namespace or class scope of a src/ header (or an explicit .hpp
+/// argument) whose name no scanned file mentions outside declarations
+/// and definitions.
+void check_unused_decls(const std::vector<FileText>& files,
+                        std::vector<Finding>& out);
 
 // ----------------------------------------------------------- output.cpp
 

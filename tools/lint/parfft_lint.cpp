@@ -14,7 +14,8 @@
 ///   per-file   wall-clock, unordered-iter, float-eq, include-hygiene,
 ///              span-pairing, alert-transitions, pointer-key, accounting
 ///   whole-tree layering (include graph vs layers.def: upward edges,
-///              same-layer cross-includes, unknown modules, cycles)
+///              same-layer cross-includes, unknown modules, cycles),
+///              unused-decl (src/ header functions nothing names)
 ///
 /// Allowlist mechanism: a line (or the line above it) containing
 ///   // parfft-lint: allow(<rule>)
@@ -22,12 +23,13 @@
 /// are exempt from wall-clock (the blessed Rng lives there); float-eq,
 /// alert-transitions, pointer-key and accounting are scoped to src/
 /// (explicit file arguments are always in scope, which is how the
-/// fixture tests drive the tool).
+/// fixture tests drive the tool). Files under a `names` tree of the
+/// layer spec (perfbench) run no rule: they only count as callers for
+/// unused-decl.
 ///
 /// Usage: parfft_lint [options] <file-or-dir>...
 ///   --layers=FILE    layer spec; enables the layering pass
 ///   --counters=FILE  accounting spec; enables the accounting pass
-///   --cache=FILE     incremental cache keyed by content hash
 ///   --baseline=FILE  suppress grandfathered findings listed in FILE
 ///   --sarif=FILE     write a SARIF 2.1.0 log of the findings
 ///   --expect=r[,r]   negative-fixture mode: exit 0 iff every listed
@@ -37,9 +39,8 @@
 ///
 /// Directories are scanned recursively for .cpp/.hpp, skipping build/
 /// and lint_fixtures/. Findings are sorted by (file, line, rule) before
-/// printing, so output is byte-stable across traversal orders; the
-/// summary line reports how many files were re-analysed vs served from
-/// the cache. Exit 0 clean, 1 findings, 2 usage error.
+/// printing, so output is byte-stable across traversal orders. Exit 0
+/// clean, 1 findings, 2 usage error.
 
 #include <algorithm>
 #include <filesystem>
@@ -101,7 +102,6 @@ void usage(std::ostream& os) {
         "options:\n"
         "  --layers=FILE    layer spec (enables the layering pass)\n"
         "  --counters=FILE  accounting spec (enables the accounting pass)\n"
-        "  --cache=FILE     incremental content-hash finding cache\n"
         "  --baseline=FILE  baseline suppressions "
         "(rule<TAB>path<TAB>line)\n"
         "  --sarif=FILE     write SARIF 2.1.0 output\n"
@@ -120,8 +120,7 @@ void usage(std::ostream& os) {
 int main(int argc, char** argv) {
   std::vector<std::string> expect;
   std::vector<std::pair<fs::path, bool>> files;
-  std::string layers_path, counters_path, cache_path, baseline_path,
-      sarif_path;
+  std::string layers_path, counters_path, baseline_path, sarif_path;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto value = [&arg](const char* flag) {
@@ -135,8 +134,6 @@ int main(int argc, char** argv) {
       layers_path = value("--layers=");
     } else if (arg.rfind("--counters=", 0) == 0) {
       counters_path = value("--counters=");
-    } else if (arg.rfind("--cache=", 0) == 0) {
-      cache_path = value("--cache=");
     } else if (arg.rfind("--baseline=", 0) == 0) {
       baseline_path = value("--baseline=");
     } else if (arg.rfind("--sarif=", 0) == 0) {
@@ -190,52 +187,28 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // The configuration hash: any change to the tool, the specs or the
-  // headers the counter index is extracted from invalidates the cache.
-  std::uint64_t config = lint::fnv1a("parfft-lint-config-v1");
-  for (const std::string& spec_path : {layers_path, counters_path}) {
-    if (spec_path.empty()) continue;
-    bool ok = false;
-    config = lint::fnv1a(file_contents(spec_path, ok), config);
-  }
-  for (const lint::CounterType& t : counters.types) {
-    std::string joined = t.name;
-    for (const std::string& fname : t.fields) joined += "," + fname;
-    config = lint::fnv1a(joined, config);
-  }
-
-  lint::Cache cache;
-  if (!cache_path.empty()) cache.load(cache_path, config);
-
-  // Per-file analysis (cache-aware). FileReports are kept alive for the
-  // whole-program layering pass.
+  // Per-file analysis. Every FileText is kept for the unused-decl pass
+  // and every FileReport for the layering pass.
+  std::vector<lint::FileText> texts(files.size());
   std::vector<std::pair<std::string, lint::FileReport>> reports;
   reports.reserve(files.size());
-  std::size_t analysed = 0, cached = 0;
-  for (const auto& [path, explicit_file] : files) {
-    const std::string generic = fs::path(path).generic_string();
+  for (std::size_t i = 0; i < files.size(); ++i) {
+    lint::FileText& f = texts[i];
+    f.path = files[i].first.generic_string();
+    f.explicit_file = files[i].second;
     bool ok = false;
-    const std::string content = file_contents(path, ok);
+    const std::string content = file_contents(files[i].first, ok);
     if (!ok) {
-      std::cerr << "parfft_lint: cannot read " << generic << "\n";
+      std::cerr << "parfft_lint: cannot read " << f.path << "\n";
       return 2;
     }
-    const std::uint64_t hash = lint::fnv1a(content);
-    if (const lint::FileReport* hit = cache.lookup(generic, hash, explicit_file)) {
-      reports.emplace_back(generic, *hit);
-      ++cached;
-    } else {
-      lint::FileText f;
-      f.path = generic;
-      f.explicit_file = explicit_file;
-      lint::build_file_text(f, content);
-      lint::FileReport rep;
-      lint::run_file_rules(f, rep);
-      if (counters.loaded()) lint::check_accounting(f, counters, rep.findings);
-      reports.emplace_back(generic, std::move(rep));
-      ++analysed;
-    }
-    cache.put(generic, hash, explicit_file, reports.back().second);
+    lint::build_file_text(f, content);
+    f.names_only = lint::classify_path(f.path, layers).names;
+    if (f.names_only) continue;
+    lint::FileReport rep;
+    lint::run_file_rules(f, rep);
+    if (counters.loaded()) lint::check_accounting(f, counters, rep.findings);
+    reports.emplace_back(f.path, std::move(rep));
   }
 
   std::vector<lint::Finding> findings;
@@ -243,12 +216,8 @@ int main(int argc, char** argv) {
     (void)path;
     findings.insert(findings.end(), rep.findings.begin(), rep.findings.end());
   }
-  if (layers.loaded()) {
-    std::vector<std::pair<std::string, const lint::FileReport*>> facts;
-    facts.reserve(reports.size());
-    for (const auto& [path, rep] : reports) facts.emplace_back(path, &rep);
-    lint::check_layering(facts, layers, findings);
-  }
+  if (layers.loaded()) lint::check_layering(reports, layers, findings);
+  lint::check_unused_decls(texts, findings);
 
   lint::sort_findings(findings);
   std::vector<std::string> stale;
@@ -270,16 +239,11 @@ int main(int argc, char** argv) {
     std::cerr << "parfft_lint: cannot write SARIF to " << sarif_path << "\n";
     return 2;
   }
-  if (!cache_path.empty() && !cache.save(cache_path, config))
-    std::cerr << "parfft_lint: warning: cannot write cache " << cache_path
-              << "\n";
-
   std::cerr << "parfft_lint: " << findings.size() << " finding(s)"
             << (suppressed ? " (+" + std::to_string(suppressed) +
                                  " baselined)"
                            : "")
-            << "; analysed " << analysed << " file(s), " << cached
-            << " cached\n";
+            << " in " << files.size() << " file(s)\n";
 
   if (!expect.empty()) {
     // Negative-fixture mode: succeed iff every expected rule fired.

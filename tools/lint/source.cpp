@@ -1,8 +1,7 @@
 /// \file source.cpp
 /// Source-text layer of parfft_lint: line splitting, comment/string
 /// stripping (preserving line structure so findings keep their line
-/// numbers), allow-directive collection, token helpers and the FNV-1a
-/// hash the incremental cache keys on.
+/// numbers), allow-directive collection and token helpers.
 
 #include <algorithm>
 #include <cctype>
@@ -30,15 +29,6 @@ std::size_t find_word(const std::string& s, const std::string& token,
     if (lb && rb) return p;
   }
   return std::string::npos;
-}
-
-std::uint64_t fnv1a(const std::string& data, std::uint64_t seed) {
-  std::uint64_t h = seed;
-  for (const char c : data) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ull;
-  }
-  return h;
 }
 
 bool allowed(const FileText& f, std::size_t line1, const std::string& rule) {
@@ -183,6 +173,9 @@ const std::vector<Rule>& registry() {
       {"layering",
        "include edge violates the layer order in layers.def (upward, "
        "same-layer cross-module, unknown module, or cycle)"},
+      {"unused-decl",
+       "function declared in a src/ header that no scanned file names "
+       "outside its declaration and definition; delete it"},
   };
   return kRules;
 }
