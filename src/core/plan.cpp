@@ -88,7 +88,7 @@ PeerTypes peer_types(const ReshapePlan& rp, int me, int batch) {
 void charge_pack(smpi::Comm& comm, const ReshapePlan& rp, int batch,
                  std::size_t elem_bytes, Trace* trace) {
   const int me = comm.rank();
-  const std::vector<Transfer>& sends = rp.sends(me);
+  const TransferRange sends = rp.sends(me);
   charge(comm, trace, obs::Category::Pack, "pack",
          pack_kernel_time(comm.options().device,
                           rp.from()[static_cast<std::size_t>(me)], sends,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cstddef>
+#include <cstdint>
 #include <utility>
 
 #include "common/error.hpp"
@@ -118,46 +119,85 @@ ReshapePlan ReshapePlan::create(std::vector<Box3> from, std::vector<Box3> to) {
                "layouts must have one box per rank");
   PARFFT_CHECK(!from.empty(), "need at least one rank");
   ReshapePlan plan;
+  const auto fits = [](const Box3& b) {
+    for (std::size_t a = 0; a < 3; ++a)
+      if (b.lo[a] < INT32_MIN || b.hi[a] > INT32_MAX) return false;
+    return true;
+  };
+  for (const std::vector<Box3>* layout : {&from, &to})
+    for (const Box3& b : *layout)
+      PARFFT_CHECK(b.empty() || fits(b),
+                   "reshape box corners must fit in 32 bits");
   plan.from_ = std::move(from);
   plan.to_ = std::move(to);
   const auto R = static_cast<std::size_t>(plan.nranks());
-  plan.sends_.resize(R);
-  plan.recvs_.resize(R);
+  plan.send_start_.assign(R + 1, 0);
+  plan.recv_start_.assign(R + 1, 0);
 
-  // Each source box is intersected only with the destination boxes it can
-  // overlap, in ascending destination order.
-  BoxIndex index(plan.to_);
-  for (std::size_t s = 0; s < R; ++s) {
-    const Box3& fb = plan.from_[s];
-    const std::vector<int>& near = index.candidates(fb);
-    plan.sends_[s].reserve(near.size());
-    for (int d : near) {
-      const Box3 ov = intersect(fb, plan.to_[static_cast<std::size_t>(d)]);
-      if (ov.empty()) continue;
-      plan.sends_[s].push_back({d, ov});
-      plan.recvs_[static_cast<std::size_t>(d)].push_back(
-          {static_cast<int>(s), ov});
+  // Pass 1: each source box is intersected only with the destination
+  // boxes it can overlap, in ascending destination order; the receivers
+  // of the non-empty overlaps are kept, and counted per receiver.
+  std::vector<std::uint32_t> dest;
+  {
+    BoxIndex index(plan.to_);
+    for (std::size_t s = 0; s < R; ++s) {
+      const Box3& fb = plan.from_[s];
+      for (int d : index.candidates(fb)) {
+        if (intersect(fb, plan.to_[static_cast<std::size_t>(d)]).empty())
+          continue;
+        dest.push_back(static_cast<std::uint32_t>(d));
+        ++plan.recv_start_[static_cast<std::size_t>(d) + 1];
+      }
+      PARFFT_CHECK(dest.size() <= UINT32_MAX, "too many reshape blocks");
+      plan.send_start_[s + 1] = static_cast<std::uint32_t>(dest.size());
     }
   }
+  for (std::size_t d = 1; d <= R; ++d)
+    plan.recv_start_[d] += plan.recv_start_[d - 1];
+
+  // Pass 2: store the blocks in send order, and counting-sort them by
+  // receiver into the index; senders ascend within each receiver.
+  plan.blocks_.reserve(dest.size());
+  plan.recv_index_.resize(dest.size());
+  std::vector<std::uint32_t> fill(plan.recv_start_.begin(),
+                                  plan.recv_start_.end() - 1);
+  for (std::size_t s = 0; s < R; ++s)
+    for (std::uint32_t k = plan.send_start_[s]; k < plan.send_start_[s + 1];
+         ++k) {
+      const std::uint32_t d = dest[k];
+      const Box3 ov = intersect(plan.from_[s], plan.to_[d]);
+      ReshapeBlock& b = plan.blocks_.emplace_back();
+      for (std::size_t a = 0; a < 3; ++a) {
+        b.lo[a] = static_cast<std::int32_t>(ov.lo[a]);
+        b.hi[a] = static_cast<std::int32_t>(ov.hi[a]);
+      }
+      b.from = static_cast<std::int32_t>(s);
+      b.to = static_cast<std::int32_t>(d);
+      plan.recv_index_[fill[d]++] = k;
+    }
   return plan;
 }
 
-const std::vector<Transfer>& ReshapePlan::sends(int r) const {
+TransferRange ReshapePlan::sends(int r) const {
   PARFFT_CHECK(r >= 0 && r < nranks(), "rank out of range");
-  return sends_[static_cast<std::size_t>(r)];
+  const auto ur = static_cast<std::size_t>(r);
+  return {blocks_.data() + send_start_[ur], nullptr,
+          send_start_[ur + 1] - send_start_[ur]};
 }
 
-const std::vector<Transfer>& ReshapePlan::recvs(int r) const {
+TransferRange ReshapePlan::recvs(int r) const {
   PARFFT_CHECK(r >= 0 && r < nranks(), "rank out of range");
-  return recvs_[static_cast<std::size_t>(r)];
+  const auto ur = static_cast<std::size_t>(r);
+  return {blocks_.data(), recv_index_.data() + recv_start_[ur],
+          recv_start_[ur + 1] - recv_start_[ur]};
 }
 
 bool ReshapePlan::recvs_tile(int r) const {
   const Box3& to = to_[static_cast<std::size_t>(r)];
-  const std::vector<Transfer>& in = recvs(r);
+  const TransferRange in = recvs(r);
   idx_t cells = 0;
   for (std::size_t i = 0; i < in.size(); ++i) {
-    const Box3& region = in[i].region;
+    const Box3 region = in[i].region;
     if (!(intersect(to, region) == region)) return false;
     for (std::size_t j = 0; j < i; ++j)
       if (!intersect(region, in[j].region).empty()) return false;
@@ -176,23 +216,14 @@ bool ReshapePlan::is_identity() const {
 net::SendMatrix ReshapePlan::send_matrix(int batch) const {
   net::SendMatrix m(static_cast<std::size_t>(nranks()));
   for (int r = 0; r < nranks(); ++r) {
-    m[static_cast<std::size_t>(r)].reserve(
-        sends_[static_cast<std::size_t>(r)].size());
-    for (const Transfer& t : sends_[static_cast<std::size_t>(r)])
-      m[static_cast<std::size_t>(r)].push_back(
-          {t.peer, static_cast<double>(t.region.count()) * batch *
-                       static_cast<double>(sizeof(cplx))});
+    const TransferRange out = sends(r);
+    auto& row = m[static_cast<std::size_t>(r)];
+    row.reserve(out.size());
+    for (const Transfer& t : out)
+      row.push_back({t.peer, static_cast<double>(t.region.count()) * batch *
+                                 static_cast<double>(sizeof(cplx))});
   }
   return m;
-}
-
-double ReshapePlan::send_bytes(int r, int batch) const {
-  double b = 0;
-  for (const Transfer& t : sends(r))
-    if (t.peer != r)
-      b += static_cast<double>(t.region.count()) * batch *
-           static_cast<double>(sizeof(cplx));
-  return b;
 }
 
 idx_t ReshapePlan::max_send_elements(int r) const {

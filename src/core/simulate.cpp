@@ -308,7 +308,7 @@ class StageRunner {
 }  // namespace
 
 double pack_kernel_time(const gpu::DeviceSpec& device, const Box3& box,
-                        const std::vector<Transfer>& transfers, int b,
+                        const TransferRange& transfers, int b,
                         std::size_t elem_bytes) {
   double t = 0;
   for (const Transfer& tr : transfers)

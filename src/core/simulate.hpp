@@ -71,7 +71,7 @@ SimReport simulate(const SimConfig& cfg);
 /// anything to move. Every packed reshape (Plan3D, RealPlan3D,
 /// distributed_reshape) and every pricer charges it.
 double pack_kernel_time(const gpu::DeviceSpec& device, const Box3& box,
-                        const std::vector<Transfer>& transfers, int b,
+                        const TransferRange& transfers, int b,
                         std::size_t elem_bytes = sizeof(cplx));
 
 /// Cumulative delivery profile of one batched transform under the Fig. 13

@@ -254,15 +254,24 @@ PhaseTimes CommCost::storm(const std::vector<int>& group,
                "send matrix does not match group size");
   const MachineSpec& m = sim_.spec();
 
-  // Post everything at once; the fluid model shares the fabric.
+  // Post everything at once; the fluid model shares the fabric. The
+  // messages are counted first, so each flow array is allocated once.
+  std::size_t nflows = 0;
+  for (const auto& row : sends)
+    for (const auto& [j, b] : row) {
+      PARFFT_CHECK(j >= 0 && j < G, "send destination outside group");
+      if (b > 0) ++nflows;
+    }
   std::vector<Flow> flows;
   std::vector<int> owner;          // sending position of each flow
   std::vector<int> receiver;       // receiving position of each flow
+  flows.reserve(nflows);
+  owner.reserve(nflows);
+  receiver.reserve(nflows);
   std::vector<int> peers(static_cast<std::size_t>(G), 0);
   for (int i = 0; i < G; ++i) {
     int k = 0;
     for (const auto& [j, b] : sends[static_cast<std::size_t>(i)]) {
-      PARFFT_CHECK(j >= 0 && j < G, "send destination outside group");
       if (b <= 0) continue;
       Flow f{group[static_cast<std::size_t>(i)], group[static_cast<std::size_t>(j)], b, 0, 0, 0};
       // CPU posts messages one after another.

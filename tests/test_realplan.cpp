@@ -217,7 +217,7 @@ TEST(Fft2dDistributed, RejectsTooManyRanks) {
 // contiguous run spans whole rows when the region covers the local box's
 // last two extents, plus one launch when anything moves.
 double oracle_pack_time(const gpu::DeviceSpec& dev, const Box3& box,
-                        const std::vector<Transfer>& transfers, int batch,
+                        const TransferRange& transfers, int batch,
                         double elem_bytes) {
   double t = 0;
   for (const Transfer& tr : transfers) {

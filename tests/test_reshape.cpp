@@ -213,7 +213,10 @@ TEST(ReshapePlan, SendMatrixScalesWithBatch) {
       EXPECT_DOUBLE_EQ(m3[i][k].second, 3 * m1[i][k].second);
   }
   // Off-rank bytes: each rank keeps half its 256 elements, ships half.
-  EXPECT_DOUBLE_EQ(plan.send_bytes(0, 1), 128.0 * sizeof(cplx));
+  double off_rank = 0;
+  for (const auto& [peer, bytes] : m1[0])
+    if (peer != 0) off_rank += bytes;
+  EXPECT_DOUBLE_EQ(off_rank, 128.0 * sizeof(cplx));
 }
 
 // create() only intersects each source box with the destination boxes it
@@ -232,7 +235,7 @@ void expect_matches_all_pairs(const std::vector<Box3>& from,
       }
 
   const auto plan = ReshapePlan::create(from, to);
-  auto same = [&](const std::vector<Transfer>& got,
+  auto same = [&](const TransferRange& got,
                   const std::vector<Transfer>& want, const char* side,
                   std::size_t r) {
     ASSERT_EQ(got.size(), want.size()) << what << " " << side << " " << r;
@@ -240,12 +243,21 @@ void expect_matches_all_pairs(const std::vector<Box3>& from,
       EXPECT_EQ(got[k].peer, want[k].peer) << what << " " << side << " " << r;
       EXPECT_EQ(got[k].region, want[k].region)
           << what << " " << side << " " << r;
+      // Peers strictly ascend: no pair is stored twice, and receivers
+      // meet their senders in rank order.
+      if (k > 0) {
+        EXPECT_LT(got[k - 1].peer, got[k].peer)
+            << what << " " << side << " " << r;
+      }
     }
   };
+  std::size_t blocks = 0;
   for (std::size_t r = 0; r < R; ++r) {
     same(plan.sends(static_cast<int>(r)), sends[r], "sends", r);
     same(plan.recvs(static_cast<int>(r)), recvs[r], "recvs", r);
+    blocks += sends[r].size();
   }
+  EXPECT_EQ(plan.block_count(), blocks) << what;
 }
 
 TEST(ReshapePlan, IndexedCreateMatchesAllPairsScan) {
@@ -261,11 +273,27 @@ TEST(ReshapePlan, IndexedCreateMatchesAllPairsScan) {
                                pad_boxes(split_world(w, b), R), "tiling");
     }
 
-  // Empty boxes on either side (grid shrinking pads with them).
-  expect_matches_all_pairs(pad_boxes(split_world(w, ProcGrid{{2, 1, 3}}), 20),
-                           split_world(w, ProcGrid{{1, 4, 5}}), "padded");
+  // Empty boxes on either side (grid shrinking pads with them): into and
+  // out of a shrunk grid, between two shrunk grids, and between a shrunk
+  // grid and its own pencils.
+  const std::vector<Box3> full = split_world(w, ProcGrid{{1, 4, 5}});
+  const std::vector<Box3> shrunk =
+      pad_boxes(split_world(w, ProcGrid{{2, 1, 3}}), 20);
+  expect_matches_all_pairs(shrunk, full, "padded source");
+  expect_matches_all_pairs(full, shrunk, "padded destination");
+  expect_matches_all_pairs(shrunk,
+                           pad_boxes(split_world(w, pencil_grid(7, 1)), 20),
+                           "both padded");
+  for (int axis = 0; axis < 3; ++axis)
+    expect_matches_all_pairs(
+        pad_boxes(split_world(w, min_surface_grid(9, n)), 24),
+        pad_boxes(split_world(w, pencil_grid(9, axis)), 24),
+        "shrunk pencils " + std::to_string(axis));
   expect_matches_all_pairs(std::vector<Box3>(7), std::vector<Box3>(7),
                            "all empty");
+  expect_matches_all_pairs(std::vector<Box3>(7),
+                           pad_boxes(split_world(w, ProcGrid{{1, 1, 3}}), 7),
+                           "empty source");
 
   // Arbitrary boxes: overlapping, gapped, outside each other's hull,
   // negative corners, empty ones.
@@ -297,6 +325,16 @@ TEST(ReshapePlan, IndexedCreateMatchesAllPairsScan) {
 TEST(ReshapePlan, MismatchedSizesThrow) {
   std::vector<Box3> a(2), b(3);
   EXPECT_THROW(ReshapePlan::create(a, b), Error);
+}
+
+TEST(ReshapePlan, CornersBeyond32BitsThrow) {
+  // Blocks store their corners in 32 bits; a box that does not fit is
+  // refused, not truncated.
+  const Box3 small{{0, 0, 0}, {3, 3, 3}};
+  const Box3 far{{0, 0, 0}, {idx_t{1} << 32, 3, 3}};
+  EXPECT_THROW(ReshapePlan::create({far}, {small}), Error);
+  EXPECT_THROW(ReshapePlan::create({small}, {far}), Error);
+  EXPECT_NO_THROW(ReshapePlan::create({small}, {small}));
 }
 
 }  // namespace

@@ -24,6 +24,34 @@ int fft_stage_count(const StagePlan& p) {
   return c;
 }
 
+TEST(Stages, PencilPlanAt3072RanksHoldsEachBlockOnce) {
+  // The largest point of the strong-scaling sweep: 512^3 bricks through
+  // the three pencil grids on 3072 ranks, four reshapes.
+  PlanOptions opt;
+  opt.decomp = Decomposition::Pencil;
+  const auto p = make({512, 512, 512}, 3072, opt);
+  ASSERT_EQ(p.reshape_count(), 4);
+  std::size_t blocks = 0;
+  for (const Stage& s : p.stages) {
+    if (s.kind != Stage::Kind::Reshape) continue;
+    const ReshapePlan& rp = s.reshape;
+    idx_t sent = 0, recvd = 0;
+    std::size_t sends = 0, recvs = 0;
+    for (int r = 0; r < p.nranks; ++r) {
+      for (const Transfer& t : rp.sends(r)) sent += t.region.count();
+      for (const Transfer& t : rp.recvs(r)) recvd += t.region.count();
+      sends += rp.sends(r).size();
+      recvs += rp.recvs(r).size();
+    }
+    EXPECT_EQ(sent, p.total_elements());
+    EXPECT_EQ(recvd, p.total_elements());
+    EXPECT_EQ(sends, rp.block_count());
+    EXPECT_EQ(recvs, rp.block_count());
+    blocks += rp.block_count();
+  }
+  EXPECT_EQ(blocks, 452096u);
+}
+
 TEST(Stages, PencilHasTwoInternalPlusTwoIoReshapes) {
   PlanOptions opt;
   opt.decomp = Decomposition::Pencil;
